@@ -151,6 +151,12 @@ let time_wall f =
   f ();
   Unix.gettimeofday () -. t0
 
+(* The whole experiment suite on [jobs] domains (None = recommended). *)
+let run_suite ?jobs () =
+  Experiments.run
+    ~config:{ Experiments.default_run_config with rc_jobs = jobs }
+    Experiments.all
+
 let print_driver_scaling () =
   let n = Driver.default_jobs () in
   let serial = time_wall (fun () -> ignore (Driver.run_jobs ~jobs:1 (scaling_jobs ()))) in
@@ -160,9 +166,10 @@ let print_driver_scaling () =
   Printf.printf
     "full-profile job set (%d workloads): 1 domain %.3fs, %d domains %.3fs (%.2fx)\n"
     (List.length Workloads.all) serial n parallel (serial /. parallel);
-  let exp_serial = time_wall (fun () -> ignore (Experiments.run_all ~jobs:1 ())) in
+  let suite jobs () = ignore (run_suite ~jobs ()) in
+  let exp_serial = time_wall (suite 1) in
   Harness.clear_cache ();
-  let exp_parallel = time_wall (fun () -> ignore (Experiments.run_all ~jobs:n ())) in
+  let exp_parallel = time_wall (suite n) in
   Printf.printf
     "experiment suite (e01..e24, cold caches): 1 domain %.3fs, %d domains %.3fs (%.2fx)\n"
     exp_serial n exp_parallel (exp_serial /. exp_parallel)
@@ -205,8 +212,7 @@ let rec rm_rf path =
    top level so the closures inside [bench_json] lay out exactly as they
    did before fusion existed (the interpreter loop is layout-sensitive
    enough for the difference to show in the baseline). *)
-let bench_pconfig =
-  { Procprof.default_config with arities = bench_workload.Workload.warities }
+let bench_pconfig = Registry.procs.config bench_workload
 
 let solo_3_profilers () =
   let p = Profile.run ~selection:`All bench_program in
@@ -510,9 +516,15 @@ let () =
     print_endline "================================================================";
     print_endline " Part 1: paper tables and figures (experiments e01..e24)";
     print_endline "================================================================";
-    (* parallel across the recommended domain count; the output bytes are
-       identical to a serial run *)
-    Experiments.print_all ~jobs:0 ();
+    (* parallel across the recommended domain count; printing is serial,
+       in registry order, so the bytes are identical to a serial run *)
+    let rep = run_suite () in
+    List.iter
+      (fun (spec, tables) -> print_string (Experiments.render spec tables))
+      rep.Experiments.results;
+    List.iter
+      (fun f -> prerr_endline (Experiments.string_of_failure f))
+      rep.Experiments.failures;
     print_endline "================================================================";
     print_endline " Part 2: profiler wall-clock micro-benchmarks (Bechamel)";
     print_endline "================================================================";

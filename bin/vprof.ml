@@ -1,14 +1,21 @@
 (* vprof: command-line front end for the value profiler.
 
-   Subcommands: list, run, disasm, emit, profile, memory, procs,
-   registers, contexts, phases, trivial, speculate, sample, fused,
-   specialize, memoize, diff, experiment, experiments.
+   Subcommands: list, run, disasm, emit, the profiler subcommands,
+   fused, specialize, memoize, diff, experiment, experiments, store.
+
+   The profiler subcommands (profile, sample, memory, procs, ...) are
+   generated from lib/driver/registry: each is one registry entry plus
+   its own flags and detail table, built by [profiler_cmd], and
+   [fused --profilers] accepts every registered name. Registering a
+   profiler there is the whole of adding one to the CLI (plus its
+   subcommand's detail table here).
 
    Shared flags (workload/input selection, --fuel, --jobs) live in
-   Cli_common; any command that needs more than one profiler run pushes
-   the runs through the parallel driver (lib/driver), so -j N parallelizes
-   them while keeping output byte-identical to -j 1. Experiment runs go
-   through the supervisor (retry/record instead of abort) and can be made
+   Cli_common; every profiling run goes through the parallel driver
+   (lib/driver), and runs that share a (workload, input, fuel) key fuse
+   onto one machine execution, so -j N parallelizes them while keeping
+   output byte-identical to -j 1. Experiment runs go through the
+   supervisor (retry/record instead of abort) and can be made
    crash-safe with --checkpoint/--resume.
 
    Workload-running commands also accept --deadline / --max-heap /
@@ -45,7 +52,7 @@ let list_cmd =
 
 let run_cmd =
   let run (w : Workload.t) input fuel _jobs trace metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
+    Obs.with_sinks ~trace ~metrics @@ fun () ->
     with_governance gov @@ fun () ->
     let prog = w.wbuild input in
     let m = Machine.execute ?fuel prog in
@@ -83,6 +90,74 @@ let emit_cmd =
           any command's -w FILE).")
     Term.(const run $ workload_arg $ input_arg)
 
+(* The profiler subcommands.
+
+   Each is one Registry entry plus its own flags and detail table;
+   [profiler_cmd] supplies the rest: the shared flags, telemetry and
+   governance, one Driver.run_jobs call and --stats. *)
+
+(* What a subcommand body knows about its invocation. *)
+type ctx = {
+  w : Workload.t;
+  input : Workload.input;
+  fuel : int option;
+  jobs : int;
+}
+
+(* "m88ksim (test)", the head of every title line *)
+let label c =
+  Printf.sprintf "%s (%s)" c.w.wname (Workload.string_of_input c.input)
+
+(* The runs a subcommand needs: its own profiler alone, or paired with a
+   companion. The pair shares a (workload, input, fuel) key, so the
+   driver fuses both onto one machine execution. *)
+type ('c, 'r, 'v) runs =
+  | Alone : ('c, 'r, 'r) runs
+  | With : ('c2, 'r2) Registry.entry -> ('c, 'r, 'r * 'r2) runs
+
+(* [body] is the subcommand's own flags applied to its printing code. It
+   receives the invocation and [run], which runs the jobs with the
+   entry's workload config passed through a tweak. It prints the detail
+   table and returns the profiler's result for --stats. *)
+let profiler_cmd (type c r v) ~doc (runs : (c, r, v) runs)
+    (entry : (c, r) Registry.entry)
+    (body : (ctx -> ((c -> c) -> v) -> r) Term.t) =
+  let (module P) = entry.profiler in
+  let go print w input fuel jobs stats trace metrics gov =
+    Obs.with_sinks ~trace ~metrics @@ fun () ->
+    with_governance gov @@ fun () ->
+    let ctx = { w; input; fuel; jobs = effective_jobs jobs } in
+    let run tweak : v =
+      let job finish =
+        Registry.job entry ~config:(tweak (entry.config w)) ?fuel ~finish w
+          input
+      in
+      match runs with
+      | Alone -> (
+        match Driver.run_jobs ~jobs:ctx.jobs [ job Fun.id ] with
+        | [ r ] -> r
+        | _ -> assert false)
+      | With companion -> (
+        match
+          Driver.run_jobs ~jobs:ctx.jobs
+            [ job Either.left;
+              Registry.job companion ?fuel ~finish:Either.right w input ]
+        with
+        | [ Left r; Right c ] -> (r, c)
+        | _ -> assert false)
+    in
+    print_stats stats P.name (P.stats (print ctx run))
+  in
+  Cmd.v (Cmd.info P.name ~doc)
+    Term.(
+      const go $ body $ workload_arg $ input_arg $ fuel_arg $ jobs_arg
+      $ stats_arg $ trace_arg $ metrics_arg $ governance_arg)
+
+let top_value (m : Metrics.t) =
+  match m.Metrics.top_values with
+  | [||] -> "-"
+  | tv -> Int64.to_string (fst tv.(0))
+
 (* profile *)
 
 let tnv_size_arg =
@@ -103,10 +178,9 @@ let save_arg =
         ~doc:"Also write the profile to FILE (see Profile_io's format).")
 
 let profile_cmd =
-  let run (w : Workload.t) input selection top tnv_size clear_interval save
-      fuel jobs shards store replicas stats trace metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
-    with_governance gov @@ fun () ->
+  let body selection top tnv_size clear_interval save shards store replicas
+      ctx run =
+    let w = ctx.w and input = ctx.input and fuel = ctx.fuel in
     let vconfig =
       { Vstate.default_config with
         tnv_capacity = tnv_size; clear_interval }
@@ -115,19 +189,9 @@ let profile_cmd =
       if shards <> 1 then
         (* sharded collection: K slices of ONE execution, each on its own
            domain, merged in shard order (deterministic output) *)
-        Shard.profile ~config:vconfig ~selection ?fuel
-          ~jobs:(effective_jobs jobs)
+        Shard.profile ~config:vconfig ~selection ?fuel ~jobs:ctx.jobs
           ~shards:(effective_shards shards) w input
-      else
-        match
-          Driver.run_jobs ~jobs:(effective_jobs jobs)
-            [ Driver.job
-                (module Profile.Profiler)
-                ~config:{ Profile.vconfig; selection }
-                ?fuel ~finish:Fun.id w input ]
-        with
-        | [ p ] -> p
-        | _ -> assert false
+      else run (fun _ -> { Profile.vconfig; selection })
     in
     let profile =
       match store with
@@ -155,7 +219,8 @@ let profile_cmd =
             key
               (make ?fuel
                  ~shards:(if shards = 1 then 1 else effective_shards shards)
-                 ~config ~profiler:"profile" ~workload:w.wname
+                 ~config ~profiler:(Registry.name Registry.profile)
+                 ~workload:w.wname
                  ~input:(Workload.string_of_input input) ()))
         in
         (match Store.get_profile s ~program:prog ~key with
@@ -182,8 +247,7 @@ let profile_cmd =
     let table =
       Table.create
         ~title:
-          (Printf.sprintf "%s (%s): %d points, %s profiled events" w.wname
-             (Workload.string_of_input input)
+          (Printf.sprintf "%s: %d points, %s profiled events" (label ctx)
              profile.Profile.instrumented
              (Table.count profile.Profile.profiled_events))
         [ "pc"; "proc"; "instr"; "execs"; "LVP"; "Inv-Top"; "Inv-All";
@@ -205,40 +269,26 @@ let profile_cmd =
               ^ (if m.Metrics.distinct_saturated then "+" else "");
               Metrics.string_of_classification (Metrics.classify m);
               Metrics.string_of_predictor_class (Metrics.predictor_class m);
-              (match m.Metrics.top_values with
-               | [||] -> "-"
-               | tv -> Int64.to_string (fst tv.(0))) ]
+              top_value m ]
         end)
       points;
     Table.print table;
-    print_stats stats "profile" (Profile.Profiler.stats profile)
+    profile
   in
-  Cmd.v
-    (Cmd.info "profile" ~doc:"Value-profile a workload (full profiling).")
+  profiler_cmd Alone Registry.profile
+    ~doc:"Value-profile a workload (full profiling)."
     Term.(
-      const run $ workload_arg $ input_arg $ selection_arg $ top_arg
-      $ tnv_size_arg $ clear_interval_arg $ save_arg $ fuel_arg $ jobs_arg
-      $ shards_arg $ store_arg $ replicas_arg $ stats_arg $ trace_arg
-      $ metrics_arg $ governance_arg)
+      const body $ selection_arg $ top_arg $ tnv_size_arg $ clear_interval_arg
+      $ save_arg $ shards_arg $ store_arg $ replicas_arg)
 
 (* memory *)
 
 let memory_cmd =
-  let run (w : Workload.t) input top fuel jobs stats trace metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
-    with_governance gov @@ fun () ->
-    let r =
-      match
-        Driver.run_jobs ~jobs:(effective_jobs jobs)
-          [ Driver.job (module Memprof.Profiler) ?fuel ~finish:Fun.id w input ]
-      with
-      | [ r ] -> r
-      | _ -> assert false
-    in
+  let body top ctx run =
+    let r = run Fun.id in
     Printf.printf
-      "%s (%s): %s locations, %s events, %.1f%% of accesses >=90%% invariant\n"
-      w.wname
-      (Workload.string_of_input input)
+      "%s: %s locations, %s events, %.1f%% of accesses >=90%% invariant\n"
+      (label ctx)
       (Table.count (Array.length r.Memprof.locations))
       (Table.count r.Memprof.tracked_events)
       (100. *. Memprof.fraction_invariant r ~threshold:0.9);
@@ -255,39 +305,23 @@ let memory_cmd =
               Table.pct l.l_metrics.Metrics.lvp;
               Table.pct l.l_metrics.Metrics.inv_top;
               Table.pct l.l_metrics.Metrics.inv_all;
-              (match l.l_metrics.Metrics.top_values with
-               | [||] -> "-"
-               | tv -> Int64.to_string (fst tv.(0))) ])
+              top_value l.l_metrics ])
       r.Memprof.locations;
     Table.print table;
-    print_stats stats "memory" (Memprof.Profiler.stats r)
+    r
   in
-  Cmd.v
-    (Cmd.info "memory" ~doc:"Profile memory locations (Chapter VII).")
-    Term.(
-      const run $ workload_arg $ input_arg $ top_arg $ fuel_arg $ jobs_arg
-      $ stats_arg $ trace_arg $ metrics_arg $ governance_arg)
+  profiler_cmd Alone Registry.memory
+    ~doc:"Profile memory locations (Chapter VII)."
+    Term.(const body $ top_arg)
 
 (* procs *)
 
 let procs_cmd =
-  let run (w : Workload.t) input fuel jobs stats trace metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
-    with_governance gov @@ fun () ->
-    let config = { Procprof.default_config with arities = w.warities } in
-    let pp =
-      match
-        Driver.run_jobs ~jobs:(effective_jobs jobs)
-          [ Driver.job (module Procprof.Profiler) ~config ?fuel ~finish:Fun.id
-              w input ]
-      with
-      | [ pp ] -> pp
-      | _ -> assert false
-    in
+  let body ctx run =
+    let pp = run Fun.id in
     let table =
       Table.create
-        ~title:(Printf.sprintf "%s (%s): procedure profile" w.wname
-                  (Workload.string_of_input input))
+        ~title:(Printf.sprintf "%s: procedure profile" (label ctx))
         [ "procedure"; "calls"; "params Inv-Top"; "ret Inv-Top"; "memo hits" ]
     in
     Array.iter
@@ -307,26 +341,19 @@ let procs_cmd =
               string_of_int r.r_memo_hits ])
       pp.Procprof.procs;
     Table.print table;
-    print_stats stats "procs" (Procprof.Profiler.stats pp)
+    pp
   in
-  Cmd.v
-    (Cmd.info "procs" ~doc:"Profile procedure parameters and returns.")
-    Term.(
-      const run $ workload_arg $ input_arg $ fuel_arg $ jobs_arg $ stats_arg
-      $ trace_arg $ metrics_arg $ governance_arg)
+  profiler_cmd Alone Registry.procs
+    ~doc:"Profile procedure parameters and returns." (Term.const body)
 
 (* registers *)
 
 let registers_cmd =
-  let run (w : Workload.t) input fuel _jobs trace metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
-    with_governance gov @@ fun () ->
-    let r = Regprof.run ?fuel (w.wbuild input) in
+  let body ctx run =
+    let r = run Fun.id in
     let table =
       Table.create
-        ~title:
-          (Printf.sprintf "%s (%s): register value profile" w.wname
-             (Workload.string_of_input input))
+        ~title:(Printf.sprintf "%s: register value profile" (label ctx))
         [ "register"; "writes"; "LVP"; "Inv-Top"; "Inv-All"; "%zero";
           "top value" ]
     in
@@ -339,18 +366,141 @@ let registers_cmd =
             Table.pct g.g_metrics.Metrics.inv_top;
             Table.pct g.g_metrics.Metrics.inv_all;
             Table.pct g.g_metrics.Metrics.zero;
-            (match g.g_metrics.Metrics.top_values with
-             | [||] -> "-"
-             | tv -> Int64.to_string (fst tv.(0))) ])
+            top_value g.g_metrics ])
       r.Regprof.regs;
-    Table.print table
+    Table.print table;
+    r
   in
-  Cmd.v
-    (Cmd.info "registers"
-       ~doc:"Profile values written per architectural register.")
-    Term.(
-      const run $ workload_arg $ input_arg $ fuel_arg $ jobs_arg $ trace_arg
-      $ metrics_arg $ governance_arg)
+  profiler_cmd Alone Registry.registers
+    ~doc:"Profile values written per architectural register."
+    (Term.const body)
+
+(* contexts *)
+
+let contexts_cmd =
+  let body ctx run =
+    let contexts, flat = run Fun.id in
+    let table =
+      Table.create
+        ~title:
+          (Printf.sprintf "%s: parameter invariance by call site" (label ctx))
+        [ "procedure"; "flat Inv-Top"; "per-site Inv-Top"; "gain" ]
+    in
+    List.iter
+      (fun (name, flat_inv, ctx_inv) ->
+        Table.add_row table
+          [ name; Table.pct flat_inv; Table.pct ctx_inv;
+            Printf.sprintf "%+.1fpp" (100. *. (ctx_inv -. flat_inv)) ])
+      (Ctxprof.context_gain contexts flat);
+    Table.print table;
+    contexts
+  in
+  profiler_cmd (With Registry.procs) Registry.contexts
+    ~doc:"Call-site-sensitive parameter profiling (Young & Smith [40])."
+    (Term.const body)
+
+(* phases *)
+
+let phases_cmd =
+  let window_arg =
+    Arg.(
+      value & opt int Phaseprof.default_config.window
+      & info [ "window" ] ~docv:"N" ~doc:"Executions per window.")
+  in
+  let body top window ctx run =
+    let t =
+      run (fun c ->
+          { c with Phaseprof.phase = { c.Phaseprof.phase with window } })
+    in
+    Printf.printf "%s: mean load-invariance drift %.1f%% (window %d)\n"
+      (label ctx)
+      (100. *. Phaseprof.mean_drift t)
+      window;
+    let table =
+      Table.create ~title:"Most phased points"
+        [ "pc"; "instr"; "execs"; "overall InvTop"; "drift"; "windows" ]
+    in
+    let sorted = Array.copy t.Phaseprof.points in
+    Array.sort
+      (fun (a : Phaseprof.point) b -> compare b.ph_drift a.ph_drift)
+      sorted;
+    Array.iteri
+      (fun i (p : Phaseprof.point) ->
+        if i < top && p.ph_total > 0 then
+          Table.add_row table
+            [ string_of_int p.ph_pc;
+              Isa.to_string p.ph_instr;
+              Table.count p.ph_total;
+              Table.pct p.ph_overall;
+              Table.pct p.ph_drift;
+              String.concat " "
+                (Array.to_list
+                   (Array.map
+                      (fun wv -> Printf.sprintf "%.0f" (100. *. wv))
+                      p.ph_windows)) ])
+      sorted;
+    Table.print table;
+    t
+  in
+  profiler_cmd Alone Registry.phases
+    ~doc:"Windowed (phase) profiling of load invariance over time."
+    Term.(const body $ top_arg $ window_arg)
+
+(* trivial *)
+
+let trivial_cmd =
+  let body ctx run =
+    let r = run Fun.id in
+    Printf.printf
+      "%s: %s ALU events, %s measured, %.1f%% trivial (%s via immediates, %s via run-time values)\n"
+      (label ctx)
+      (Table.count r.Trivprof.alu_events)
+      (Table.count r.Trivprof.measured)
+      (100. *. Trivprof.trivial_fraction r)
+      (Table.count r.Trivprof.trivial_imm)
+      (Table.count r.Trivprof.trivial_dyn);
+    List.iter
+      (fun (kind, n) -> Printf.printf "  %-14s %s\n" kind (Table.count n))
+      r.Trivprof.by_kind;
+    r
+  in
+  profiler_cmd Alone Registry.trivial
+    ~doc:"Profile trivial arithmetic operands (Richardson [32])."
+    (Term.const body)
+
+(* speculate *)
+
+let speculate_cmd =
+  let body top ctx run =
+    let t = run Fun.id in
+    let code = (ctx.w.wbuild ctx.input).Asm.code in
+    Printf.printf
+      "%s: %s load executions, %.1f%% would fail a hoisted value check\n"
+      (label ctx)
+      (Table.count t.Specul.total_executions)
+      (100. *. Specul.conflict_rate t ~select:(fun _ -> true));
+    let table =
+      Table.create ~title:"Per-load conflict rates"
+        [ "pc"; "instr"; "execs"; "conflicts"; "rate" ]
+    in
+    Array.iteri
+      (fun i (l : Specul.load_report) ->
+        if i < top then
+          Table.add_row table
+            [ string_of_int l.sl_pc;
+              Isa.to_string code.(l.sl_pc);
+              Table.count l.sl_executions;
+              Table.count l.sl_conflicts;
+              Table.pct l.sl_conflict_rate ])
+      t.Specul.loads;
+    Table.print table;
+    t
+  in
+  profiler_cmd Alone Registry.speculate
+    ~doc:
+      "Profile speculative-load value-check conflicts (Moudgill & Moreno \
+       [29])."
+    Term.(const body $ top_arg)
 
 (* sample *)
 
@@ -367,49 +517,101 @@ let sample_cmd =
     Arg.(value & opt float Sampler.default_config.epsilon
          & info [ "epsilon" ] ~docv:"E" ~doc:"Convergence threshold.")
   in
-  let run (w : Workload.t) input burst skip epsilon fuel jobs stats trace
-      metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
-    with_governance gov @@ fun () ->
-    let config =
-      { Sampler.default_config with burst; initial_skip = skip; epsilon }
+  let body burst skip epsilon ctx run =
+    let sampled, full =
+      run (fun c ->
+          { c with
+            Sampler.sampler =
+              { c.Sampler.sampler with burst; initial_skip = skip; epsilon } })
     in
-    let sconfig = { Sampler.Profiler.default_config with Sampler.sampler = config } in
-    (* two driver jobs sharing the (workload, input, fuel) key: the
-       scheduler fuses them onto one machine execution *)
-    match
-      Driver.run_jobs ~jobs:(effective_jobs jobs)
-        [ Driver.job (module Sampler.Profiler) ~config:sconfig ?fuel
-            ~finish:(fun s -> `Sampled s) w input;
-          Driver.job (module Profile.Profiler) ?fuel
-            ~finish:(fun p -> `Full p) w input ]
-    with
-    | [ `Sampled sampled; `Full full ] ->
-      Printf.printf
-        "%s (%s): overhead %.2f%% (%s of %s events), invariance error %.2f%%\n"
-        w.wname
-        (Workload.string_of_input input)
-        (100. *. sampled.Sampler.overhead)
-        (Table.count sampled.Sampler.profiled_events)
-        (Table.count sampled.Sampler.total_events)
-        (100. *. Sampler.invariance_error sampled full);
-      print_stats stats "sample" (Sampler.Profiler.stats sampled)
-    | _ -> assert false
+    Printf.printf
+      "%s: overhead %.2f%% (%s of %s events), invariance error %.2f%%\n"
+      (label ctx)
+      (100. *. sampled.Sampler.overhead)
+      (Table.count sampled.Sampler.profiled_events)
+      (Table.count sampled.Sampler.total_events)
+      (100. *. Sampler.invariance_error sampled full);
+    sampled
+  in
+  profiler_cmd (With Registry.profile) Registry.sample
+    ~doc:"Convergent (sampled) value profiling."
+    Term.(const body $ burst $ skip $ epsilon)
+
+(* fused *)
+
+let fused_cmd =
+  let profilers_arg =
+    Arg.(
+      value
+      & opt string
+          Registry.(String.concat "," [ name profile; name memory; name procs ])
+      & info [ "profilers" ] ~docv:"LIST"
+          ~doc:
+            ("Comma-separated profilers to fuse onto one machine \
+              execution: "
+            ^ String.concat ", " Registry.names
+            ^ "."))
+  in
+  let run (w : Workload.t) input profilers fuel jobs stats trace metrics gov =
+    Obs.with_sinks ~trace ~metrics @@ fun () ->
+    with_governance gov @@ fun () ->
+    let names =
+      String.split_on_char ',' profilers
+      |> List.map String.trim
+      |> List.filter (fun s -> s <> "")
+    in
+    match List.filter (fun n -> Option.is_none (Registry.find n)) names with
+    | _ when names = [] -> `Error (true, "--profilers: empty list")
+    | other :: _ ->
+      `Error
+        ( true,
+          Printf.sprintf "--profilers: unknown profiler %S (known: %s)" other
+            (String.concat ", " Registry.names) )
+    | [] ->
+      (* one job per profiler, all sharing the (workload, input, fuel)
+         key, so the driver coalesces them into one machine execution *)
+      let js =
+        List.map
+          (fun e -> Registry.brief_job ?fuel e w input)
+          (List.filter_map Registry.find names)
+      in
+      Printf.printf "schedule: %s\n" (String.concat "; " (Driver.plan js));
+      let results = Driver.run_jobs ~jobs:(effective_jobs jobs) js in
+      (match results with
+       | first :: _ ->
+         Printf.printf
+           "%s (%s): %d profilers, one machine execution, %s machine steps\n"
+           w.wname
+           (Workload.string_of_input input)
+           (List.length results)
+           (Table.count first.Registry.b_steps)
+       | [] -> ());
+      List.iter
+        (fun (b : Registry.brief) ->
+          Printf.printf "  %-10s %s\n" b.b_name b.b_summary;
+          print_stats stats b.b_name b.b_stats)
+        results;
+      `Ok ()
   in
   Cmd.v
-    (Cmd.info "sample" ~doc:"Convergent (sampled) value profiling.")
+    (Cmd.info "fused"
+       ~doc:
+         "Run several profilers over ONE machine execution. Jobs sharing \
+          a (workload, input, fuel) key coalesce in the driver, so the \
+          workload executes once however many profilers observe it; each \
+          profiler's result is identical to its solo run.")
     Term.(
-      const run $ workload_arg $ input_arg $ burst $ skip $ epsilon $ fuel_arg
-      $ jobs_arg $ stats_arg $ trace_arg $ metrics_arg $ governance_arg)
+      ret
+        (const run $ workload_arg $ input_arg $ profilers_arg $ fuel_arg
+        $ jobs_arg $ stats_arg $ trace_arg $ metrics_arg $ governance_arg))
 
 (* specialize *)
 
 let specialize_cmd =
   let run (w : Workload.t) input fuel _jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
-    let config = { Procprof.default_config with arities = w.warities } in
+    Obs.with_sinks ~trace ~metrics @@ fun () ->
     let prog = w.wbuild input in
-    let pp = Procprof.run ~config ?fuel prog in
+    let pp = Procprof.run ~config:(Registry.procs.config w) ?fuel prog in
     match Specialize.candidates pp ~min_calls:100 ~min_inv:0.5 with
     | [] -> print_endline "no semi-invariant parameter candidates found"
     | (proc, param, value, inv) :: _ ->
@@ -439,159 +641,6 @@ let specialize_cmd =
       const run $ workload_arg $ input_arg $ fuel_arg $ jobs_arg $ trace_arg
       $ metrics_arg)
 
-(* trivial *)
-
-let trivial_cmd =
-  let run (w : Workload.t) input fuel _jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
-    let r = Trivprof.run ?fuel (w.wbuild input) in
-    Printf.printf
-      "%s (%s): %s ALU events, %s measured, %.1f%% trivial (%s via immediates, %s via run-time values)\n"
-      w.wname
-      (Workload.string_of_input input)
-      (Table.count r.Trivprof.alu_events)
-      (Table.count r.Trivprof.measured)
-      (100. *. Trivprof.trivial_fraction r)
-      (Table.count r.Trivprof.trivial_imm)
-      (Table.count r.Trivprof.trivial_dyn);
-    List.iter
-      (fun (kind, n) -> Printf.printf "  %-14s %s\n" kind (Table.count n))
-      r.Trivprof.by_kind
-  in
-  Cmd.v
-    (Cmd.info "trivial"
-       ~doc:"Profile trivial arithmetic operands (Richardson [32]).")
-    Term.(
-      const run $ workload_arg $ input_arg $ fuel_arg $ jobs_arg $ trace_arg
-      $ metrics_arg)
-
-(* speculate *)
-
-let speculate_cmd =
-  let run (w : Workload.t) input top fuel _jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
-    let prog = w.wbuild input in
-    let t = Specul.run ?fuel prog in
-    Printf.printf
-      "%s (%s): %s load executions, %.1f%% would fail a hoisted value check\n"
-      w.wname
-      (Workload.string_of_input input)
-      (Table.count t.Specul.total_executions)
-      (100. *. Specul.conflict_rate t ~select:(fun _ -> true));
-    let table =
-      Table.create ~title:"Per-load conflict rates"
-        [ "pc"; "instr"; "execs"; "conflicts"; "rate" ]
-    in
-    Array.iteri
-      (fun i (l : Specul.load_report) ->
-        if i < top then
-          Table.add_row table
-            [ string_of_int l.sl_pc;
-              Isa.to_string prog.Asm.code.(l.sl_pc);
-              Table.count l.sl_executions;
-              Table.count l.sl_conflicts;
-              Table.pct l.sl_conflict_rate ])
-      t.Specul.loads;
-    Table.print table
-  in
-  Cmd.v
-    (Cmd.info "speculate"
-       ~doc:
-         "Profile speculative-load value-check conflicts (Moudgill & \
-          Moreno [29]).")
-    Term.(
-      const run $ workload_arg $ input_arg $ top_arg $ fuel_arg $ jobs_arg
-      $ trace_arg $ metrics_arg)
-
-(* phases *)
-
-let phases_cmd =
-  let window_arg =
-    Arg.(
-      value & opt int Phaseprof.default_config.window
-      & info [ "window" ] ~docv:"N" ~doc:"Executions per window.")
-  in
-  let run (w : Workload.t) input top window fuel _jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
-    let config = { Phaseprof.default_config with window } in
-    let t = Phaseprof.run ~config ~selection:`Loads ?fuel (w.wbuild input) in
-    Printf.printf "%s (%s): mean load-invariance drift %.1f%% (window %d)\n"
-      w.wname
-      (Workload.string_of_input input)
-      (100. *. Phaseprof.mean_drift t)
-      window;
-    let table =
-      Table.create ~title:"Most phased points"
-        [ "pc"; "instr"; "execs"; "overall InvTop"; "drift"; "windows" ]
-    in
-    let sorted = Array.copy t.Phaseprof.points in
-    Array.sort
-      (fun (a : Phaseprof.point) b -> compare b.ph_drift a.ph_drift)
-      sorted;
-    Array.iteri
-      (fun i (p : Phaseprof.point) ->
-        if i < top && p.ph_total > 0 then
-          Table.add_row table
-            [ string_of_int p.ph_pc;
-              Isa.to_string p.ph_instr;
-              Table.count p.ph_total;
-              Table.pct p.ph_overall;
-              Table.pct p.ph_drift;
-              String.concat " "
-                (Array.to_list
-                   (Array.map
-                      (fun wv -> Printf.sprintf "%.0f" (100. *. wv))
-                      p.ph_windows)) ])
-      sorted;
-    Table.print table
-  in
-  Cmd.v
-    (Cmd.info "phases"
-       ~doc:"Windowed (phase) profiling of load invariance over time.")
-    Term.(
-      const run $ workload_arg $ input_arg $ top_arg $ window_arg $ fuel_arg
-      $ jobs_arg $ trace_arg $ metrics_arg)
-
-(* contexts *)
-
-let contexts_cmd =
-  let run (w : Workload.t) input fuel jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
-    let prog = w.wbuild input in
-    let config = { Ctxprof.default_config with arities = w.warities } in
-    let flat_config = { Procprof.default_config with arities = w.warities } in
-    (* two independent instrumented runs of the same (immutable) program *)
-    match
-      Driver.map ~jobs:(effective_jobs jobs)
-        (fun run -> run ())
-        [ (fun () -> `Ctx (Ctxprof.run ~config ?fuel prog));
-          (fun () -> `Flat (Procprof.run ~config:flat_config ?fuel prog)) ]
-    with
-    | [ `Ctx ctx; `Flat flat ] ->
-      let table =
-        Table.create
-          ~title:
-            (Printf.sprintf "%s (%s): parameter invariance by call site"
-               w.wname
-               (Workload.string_of_input input))
-          [ "procedure"; "flat Inv-Top"; "per-site Inv-Top"; "gain" ]
-      in
-      List.iter
-        (fun (name, flat_inv, ctx_inv) ->
-          Table.add_row table
-            [ name; Table.pct flat_inv; Table.pct ctx_inv;
-              Printf.sprintf "%+.1fpp" (100. *. (ctx_inv -. flat_inv)) ])
-        (Ctxprof.context_gain ctx flat);
-      Table.print table
-    | _ -> assert false
-  in
-  Cmd.v
-    (Cmd.info "contexts"
-       ~doc:"Call-site-sensitive parameter profiling (Young & Smith [40]).")
-    Term.(
-      const run $ workload_arg $ input_arg $ fuel_arg $ jobs_arg $ trace_arg
-      $ metrics_arg)
-
 (* memoize *)
 
 let memoize_cmd =
@@ -611,7 +660,7 @@ let memoize_cmd =
       & info [ "a"; "arity" ] ~docv:"N" ~doc:"Number of arguments (1-6).")
   in
   let run (w : Workload.t) input proc arity _jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
+    Obs.with_sinks ~trace ~metrics @@ fun () ->
     let prog = w.wbuild input in
     match Memoize.memoize prog ~proc ~arity with
     | report ->
@@ -637,14 +686,13 @@ let memoize_cmd =
 
 let diff_cmd =
   let run (w : Workload.t) top fuel jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
+    Obs.with_sinks ~trace ~metrics @@ fun () ->
     let pt, ptr =
       match
         Driver.run_jobs ~jobs:(effective_jobs jobs)
-          [ Driver.job (module Profile.Profiler) ?fuel ~finish:Fun.id w
-              Workload.Test;
-            Driver.job (module Profile.Profiler) ?fuel ~finish:Fun.id w
-              Workload.Train ]
+          (List.map
+             (Registry.job Registry.profile ?fuel ~finish:Fun.id w)
+             [ Workload.Test; Workload.Train ])
       with
       | [ pt; ptr ] -> (pt, ptr)
       | _ -> assert false
@@ -758,23 +806,9 @@ let write_csv dir (spec : Experiments.spec) tables =
       Printf.printf "wrote %s\n" path)
     tables
 
-let print_spec_tables csv ((spec : Experiments.spec), tables) =
-  Printf.printf "== %s: %s  [%s] ==\n" spec.id spec.title spec.paper_ref;
-  List.iter
-    (fun t ->
-      Table.print t;
-      print_newline ())
-    tables;
-  match csv with Some dir -> write_csv dir spec tables | None -> ()
-
 (* Exit codes (see the trailer in [main]): 0 success, 1 runtime failure
    (a trap, or an experiment that failed all its retries), 2 usage
    error. *)
-
-let report_failures failures =
-  List.iter
-    (fun f -> prerr_endline (Experiments.string_of_failure f))
-    failures
 
 (* The failure report lands next to the checkpoint data so CI can upload
    it as an artifact whether or not the run succeeded. *)
@@ -839,9 +873,15 @@ let run_experiments id csv jobs shards checkpoint resume store replicas
   match (checkpoint, store) with
   | None, None ->
     let rep = Experiments.run ~config specs in
-    List.iter (fun r -> print_spec_tables csv r) rep.Experiments.results;
+    List.iter
+      (fun (spec, tables) ->
+        print_string (Experiments.render spec tables);
+        Option.iter (fun dir -> write_csv dir spec tables) csv)
+      rep.Experiments.results;
     if rep.Experiments.failures <> [] then begin
-      report_failures rep.Experiments.failures;
+      List.iter
+        (fun f -> prerr_endline (Experiments.string_of_failure f))
+        rep.Experiments.failures;
       exit 1
     end
   | ck_dir, store_dir ->
@@ -908,172 +948,6 @@ let run_experiments id csv jobs shards checkpoint resume store replicas
           Printf.eprintf "%d of %d experiments failed\n" (List.length failures)
             (List.length rep.Supervisor.outcomes));
        exit 1)
-
-(* fused *)
-
-(* One driver job per requested profiler, every job sharing the same
-   (workload, input, fuel) key, so Driver.run_jobs coalesces them into a
-   single machine execution. Each finish continuation reduces the typed
-   result to (name, one-line summary, dynamic instructions, counters). *)
-let fused_job (w : Workload.t) input fuel name =
-  let ok j = Ok j in
-  match name with
-  | "profile" ->
-    ok
-      (Driver.job (module Profile.Profiler) ?fuel
-         ~finish:(fun (p : Profile.t) ->
-           ( name,
-             Printf.sprintf "%d points, %s profiled events" p.instrumented
-               (Table.count p.profiled_events),
-             p.dynamic_instructions, Profile.Profiler.stats p ))
-         w input)
-  | "sample" ->
-    ok
-      (Driver.job (module Sampler.Profiler) ?fuel
-         ~finish:(fun (s : Sampler.t) ->
-           ( name,
-             Printf.sprintf "overhead %.2f%% (%s of %s events)"
-               (100. *. s.overhead)
-               (Table.count s.profiled_events)
-               (Table.count s.total_events),
-             s.dynamic_instructions, Sampler.Profiler.stats s ))
-         w input)
-  | "memory" ->
-    ok
-      (Driver.job (module Memprof.Profiler) ?fuel
-         ~finish:(fun (m : Memprof.t) ->
-           ( name,
-             Printf.sprintf "%d locations, %s tracked events"
-               (Array.length m.locations)
-               (Table.count m.tracked_events),
-             m.dynamic_instructions, Memprof.Profiler.stats m ))
-         w input)
-  | "procs" ->
-    let config = { Procprof.default_config with arities = w.warities } in
-    ok
-      (Driver.job (module Procprof.Profiler) ~config ?fuel
-         ~finish:(fun (p : Procprof.t) ->
-           ( name,
-             Printf.sprintf "%d procedures, %s calls" (Array.length p.procs)
-               (Table.count p.total_calls),
-             p.dynamic_instructions, Procprof.Profiler.stats p ))
-         w input)
-  | "registers" ->
-    ok
-      (Driver.job (module Regprof.Profiler) ?fuel
-         ~finish:(fun (r : Regprof.t) ->
-           ( name,
-             Printf.sprintf "%d registers written, %s writes"
-               (Array.length r.regs)
-               (Table.count r.total_writes),
-             r.dynamic_instructions, Regprof.Profiler.stats r ))
-         w input)
-  | "contexts" ->
-    let config = { Ctxprof.default_config with arities = w.warities } in
-    ok
-      (Driver.job (module Ctxprof.Profiler) ~config ?fuel
-         ~finish:(fun (c : Ctxprof.t) ->
-           ( name,
-             Printf.sprintf "%d contexts, %s untracked calls"
-               (Array.length c.contexts)
-               (Table.count c.untracked_calls),
-             c.dynamic_instructions, Ctxprof.Profiler.stats c ))
-         w input)
-  | "phases" ->
-    ok
-      (Driver.job (module Phaseprof.Profiler) ?fuel
-         ~finish:(fun (p : Phaseprof.t) ->
-           ( name,
-             Printf.sprintf "%d points, mean drift %.2f%%"
-               (Array.length p.points)
-               (100. *. Phaseprof.mean_drift p),
-             p.dynamic_instructions, Phaseprof.Profiler.stats p ))
-         w input)
-  | "trivial" ->
-    ok
-      (Driver.job (module Trivprof.Profiler) ?fuel
-         ~finish:(fun (t : Trivprof.t) ->
-           ( name,
-             Printf.sprintf "%s ALU events, %.2f%% trivial"
-               (Table.count t.alu_events)
-               (100. *. Trivprof.trivial_fraction t),
-             t.dynamic_instructions, Trivprof.Profiler.stats t ))
-         w input)
-  | "speculate" ->
-    ok
-      (Driver.job (module Specul.Profiler) ?fuel
-         ~finish:(fun (s : Specul.t) ->
-           ( name,
-             Printf.sprintf "%d loads, %s conflicts in %s executions"
-               (Array.length s.loads)
-               (Table.count s.total_conflicts)
-               (Table.count s.total_executions),
-             s.dynamic_instructions, Specul.Profiler.stats s ))
-         w input)
-  | other -> Error other
-
-let fused_cmd =
-  let profilers_arg =
-    Arg.(
-      value
-      & opt string "profile,memory,procs"
-      & info [ "profilers" ] ~docv:"LIST"
-          ~doc:
-            "Comma-separated profilers to fuse onto one machine \
-             execution: profile, sample, memory, procs, registers, \
-             contexts, phases, trivial, speculate.")
-  in
-  let run (w : Workload.t) input profilers fuel jobs stats trace metrics gov =
-    with_obs ~trace ~metrics @@ fun () ->
-    with_governance gov @@ fun () ->
-    let names =
-      String.split_on_char ',' profilers
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-    in
-    if names = [] then `Error (true, "--profilers: empty list")
-    else
-      match
-        List.fold_left
-          (fun acc name ->
-            match (acc, fused_job w input fuel name) with
-            | Error e, _ -> Error e
-            | Ok js, Ok j -> Ok (j :: js)
-            | Ok _, Error other -> Error other)
-          (Ok []) names
-      with
-      | Error other ->
-        `Error (true, Printf.sprintf "--profilers: unknown profiler %S" other)
-      | Ok rev_jobs ->
-        let js = List.rev rev_jobs in
-        Printf.printf "schedule: %s\n" (String.concat "; " (Driver.plan js));
-        let results = Driver.run_jobs ~jobs:(effective_jobs jobs) js in
-        (match results with
-         | (_, _, dyn, _) :: _ ->
-           Printf.printf
-             "%s (%s): %d profilers, one machine execution, %s machine steps\n"
-             w.wname
-             (Workload.string_of_input input)
-             (List.length results) (Table.count dyn)
-         | [] -> ());
-        List.iter
-          (fun (name, line, _, c) ->
-            Printf.printf "  %-10s %s\n" name line;
-            print_stats stats name c)
-          results;
-        `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "fused"
-       ~doc:
-         "Run several profilers over ONE machine execution. Jobs sharing \
-          a (workload, input, fuel) key coalesce in the driver, so the \
-          workload executes once however many profilers observe it; each \
-          profiler's result is identical to its solo run.")
-    Term.(
-      ret
-        (const run $ workload_arg $ input_arg $ profilers_arg $ fuel_arg
-        $ jobs_arg $ stats_arg $ trace_arg $ metrics_arg $ governance_arg))
 
 let experiment_cmd =
   let id_arg =
@@ -1393,7 +1267,7 @@ let () =
      exhausted --fuel budget)
      is a user-level outcome, not an internal error — report it cleanly;
      the driver re-raises worker exceptions on this domain, so this also
-     covers -j runs. Budget trips propagate through with_obs, so the
+     covers -j runs. Budget trips propagate through Obs.with_sinks, so the
      trace/metrics sinks are complete when we land here. *)
   (try Fault.load_env () with Invalid_argument msg ->
     Printf.eprintf "vprof: %s\n" msg;

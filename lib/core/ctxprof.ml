@@ -136,6 +136,11 @@ module Profiler = Profiler_intf.Make (struct
   let attach config machine = attach ~config machine
   let collect = collect
   let stats (r : result) = r.stats
+  let dynamic_instructions (r : result) = r.dynamic_instructions
+
+  let summary (c : result) =
+    Printf.sprintf "%d contexts, %s untracked calls" (Array.length c.contexts)
+      (Table.count c.untracked_calls)
 end)
 
 let weighted_param_invariance t =

@@ -120,4 +120,9 @@ module Profiler = Profiler_intf.Make (struct
   let attach config machine = attach ~config machine
   let collect = collect
   let stats (r : result) = r.stats
+  let dynamic_instructions (r : result) = r.dynamic_instructions
+
+  let summary (m : result) =
+    Printf.sprintf "%d locations, %s tracked events" (Array.length m.locations)
+      (Table.count m.tracked_events)
 end)

@@ -151,4 +151,9 @@ module Profiler = Profiler_intf.Make (struct
 
   let collect = collect
   let stats (r : result) = r.stats
+  let dynamic_instructions (r : result) = r.dynamic_instructions
+
+  let summary (p : result) =
+    Printf.sprintf "%d points, mean drift %.2f%%" (Array.length p.points)
+      (100. *. mean_drift p)
 end)

@@ -145,4 +145,9 @@ module Profiler = Profiler_intf.Make (struct
   let attach config machine = attach ~config machine
   let collect = collect
   let stats (r : result) = r.stats
+  let dynamic_instructions (r : result) = r.dynamic_instructions
+
+  let summary (p : result) =
+    Printf.sprintf "%d procedures, %s calls" (Array.length p.procs)
+      (Table.count p.total_calls)
 end)

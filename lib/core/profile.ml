@@ -241,4 +241,9 @@ module Profiler = Profiler_intf.Make (struct
 
   let collect = collect
   let stats (r : result) = r.stats
+  let dynamic_instructions (r : result) = r.dynamic_instructions
+
+  let summary (p : result) =
+    Printf.sprintf "%d points, %s profiled events" p.instrumented
+      (Table.count p.profiled_events)
 end)

@@ -4,9 +4,9 @@
     instrumentation to a machine, let the machine run, collect a result —
     but each grew its own entry-point shape (extra selection arguments,
     split configurations). [S] is the common signature the parallel driver
-    schedules against; the concrete modules ([Profile], [Sampler],
-    [Memprof], [Procprof]) each expose an adapter submodule named
-    [Profiler] that satisfies it without disturbing their original APIs.
+    schedules against; each concrete profiler module exposes an adapter
+    submodule named [Profiler] that satisfies it without disturbing its
+    original API, and [Registry] (lib/driver) lists them all.
 
     A profiler implementation must be {e self-contained}: all mutable
     profiling state lives in the [live] value (and the machine it is
@@ -14,8 +14,8 @@
     concurrently on distinct domains. *)
 
 module type S = sig
-  (** Short stable name ("profile", "sample", "memory", "procs") used in
-      logs and benchmark labels. *)
+  (** Short stable name, used as the CLI subcommand, in logs and in
+      benchmark labels. *)
   val name : string
 
   (** Everything that parameterizes a run, packed into one value so the
@@ -40,6 +40,12 @@ module type S = sig
       attach-to-collect wall clock), for `vprof --stats` and the
       benchmark baseline. *)
   val stats : result -> Counters.t
+
+  (** Machine steps the run observed (its dynamic instruction count). *)
+  val dynamic_instructions : result -> int
+
+  (** A one-line digest of the result, as [vprof fused] prints it. *)
+  val summary : result -> string
 end
 
 (** A profiler packed as a first-class module, indexed by its result type
@@ -48,11 +54,11 @@ end
 type 'r t = (module S with type result = 'r)
 
 (** What a concrete profiler supplies to {!Make}: the irreducible kernel
-    of {!S} — a name, a config with its default, and the
+    of {!S} — a name, a config with its default, the
     attach/collect/stats triple with [attach] taking the config
     {e positionally} (the functor owns the optional-argument and
     machine-building conventions, so nine adapters stop restating
-    them). *)
+    them), and the [dynamic_instructions]/[summary] read-outs. *)
 module type Spec = sig
   val name : string
 
@@ -66,6 +72,8 @@ module type Spec = sig
   val attach : config -> Machine.t -> live
   val collect : live -> result
   val stats : result -> Counters.t
+  val dynamic_instructions : result -> int
+  val summary : result -> string
 end
 
 (** The one adapter. Beyond satisfying {!S}, [collect] publishes the
@@ -105,4 +113,6 @@ struct
     collect live
 
   let stats = X.stats
+  let dynamic_instructions = X.dynamic_instructions
+  let summary = X.summary
 end

@@ -85,4 +85,9 @@ module Profiler = Profiler_intf.Make (struct
   let attach config machine = attach ~config machine
   let collect = collect
   let stats (r : result) = r.stats
+  let dynamic_instructions (r : result) = r.dynamic_instructions
+
+  let summary (r : result) =
+    Printf.sprintf "%d registers written, %s writes" (Array.length r.regs)
+      (Table.count r.total_writes)
 end)

@@ -293,6 +293,12 @@ module Profiler = Profiler_intf.Make (struct
 
   let collect = collect
   let stats (r : result) = r.stats
+  let dynamic_instructions (r : result) = r.dynamic_instructions
+
+  let summary (s : result) =
+    Printf.sprintf "overhead %.2f%% (%s of %s events)" (100. *. s.overhead)
+      (Table.count s.profiled_events)
+      (Table.count s.total_events)
 end)
 
 (* Test-only window into the per-point burst machinery, so the back-off

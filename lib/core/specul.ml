@@ -141,6 +141,13 @@ module Profiler = Profiler_intf.Make (struct
   let attach config machine = attach ~max_tracked:config.max_tracked machine
   let collect = collect
   let stats (r : result) = r.stats
+  let dynamic_instructions (r : result) = r.dynamic_instructions
+
+  let summary (s : result) =
+    Printf.sprintf "%d loads, %s conflicts in %s executions"
+      (Array.length s.loads)
+      (Table.count s.total_conflicts)
+      (Table.count s.total_executions)
 end)
 
 let conflict_rate t ~select =

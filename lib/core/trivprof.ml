@@ -127,4 +127,9 @@ module Profiler = Profiler_intf.Make (struct
   let attach () machine = attach machine
   let collect = collect
   let stats (r : result) = r.stats
+  let dynamic_instructions (r : result) = r.dynamic_instructions
+
+  let summary (t : result) =
+    Printf.sprintf "%s ALU events, %.2f%% trivial" (Table.count t.alu_events)
+      (100. *. trivial_fraction t)
 end)

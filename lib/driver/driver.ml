@@ -132,5 +132,3 @@ let run_jobs ?jobs ?(fuse = true) js =
 let plan ?(fuse = true) js = List.map unit_name (units ~fuse js)
 
 let default_jobs = Pool.default_jobs
-
-let map = Pool.map

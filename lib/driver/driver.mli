@@ -91,8 +91,3 @@ val plan : ?fuse:bool -> 'a job list -> string list
 (** {!Pool.default_jobs}, re-exported so driver consumers need not depend
     on the pool directly. *)
 val default_jobs : unit -> int
-
-(** {!Pool.map}, re-exported: deterministic parallel map for work that is
-    not shaped like a profiler run (experiment drivers, paired
-    comparisons). *)
-val map : ?jobs:int -> ?fail_fast:bool -> ('a -> 'b) -> 'a list -> 'b list

@@ -16,8 +16,7 @@ let run () =
     (fun (w : Workload.t) ->
       let prog = w.wbuild Workload.Test in
       let flat = Harness.proc_profile w Workload.Test in
-      let config = { Ctxprof.default_config with arities = w.warities } in
-      let ctx = Ctxprof.run ~config prog in
+      let ctx = Ctxprof.run ~config:(Registry.contexts.config w) prog in
       let sites_of proc =
         Array.to_list ctx.Ctxprof.contexts
         |> List.filter (fun (c : Ctxprof.context_report) -> c.c_proc = proc)

@@ -78,10 +78,6 @@ let render spec tables =
     tables;
   Buffer.contents buf
 
-let print_tables (spec, tables) = print_string (render spec tables)
-
-let print_one spec = print_tables (spec, spec.run ())
-
 type failure = {
   f_spec : spec;
   f_attempts : int;
@@ -127,42 +123,6 @@ let policy_of_config c =
     jitter = c.rc_jitter;
     on_error = (if c.rc_fail_fast then `Abort else `Skip) }
 
-let config_of_policy ?jobs ?checkpoint (p : Supervisor.policy) =
-  { default_run_config with
-    rc_jobs = jobs;
-    rc_fuel = p.Supervisor.fuel_timeout;
-    rc_retries = p.Supervisor.retries;
-    rc_fail_fast = p.Supervisor.on_error = `Abort;
-    rc_checkpoint = checkpoint }
-
-(* Sink plumbing: if the config names a trace sink, the trace is reset
-   and enabled for exactly this run and written (disabled again) on the
-   way out, exceptions included; a metrics sink snapshots the registry on
-   the way out. Both writes are silent — callers own stdout. *)
-let with_sinks cfg f =
-  (match cfg.rc_trace with
-   | Some _ ->
-     Obs.Trace.reset ();
-     Obs.Trace.set_enabled true
-   | None -> ());
-  let finish () =
-    (match cfg.rc_trace with
-     | Some path ->
-       Obs.Trace.set_enabled false;
-       Obs.Trace.write_file path
-     | None -> ());
-    match cfg.rc_metrics with
-    | Some path -> Obs.Metrics.write_file path
-    | None -> ()
-  in
-  match f () with
-  | v ->
-    finish ();
-    v
-  | exception e ->
-    finish ();
-    raise e
-
 let run_spec_traced spec =
   Obs.Trace.with_span ~cat:"experiments" ("experiment:" ^ spec.id) spec.run
 
@@ -176,7 +136,8 @@ let spec_key (c : run_config) (spec : spec) =
          ~workload:spec.id ~input:"suite" ()))
 
 let run ?(config = default_run_config) specs =
-  with_sinks config @@ fun () ->
+  Obs.with_sinks ~trace:config.rc_trace ~metrics:config.rc_metrics
+  @@ fun () ->
   Harness.set_shards config.rc_shards;
   Harness.set_store config.rc_store;
   let rep =
@@ -198,7 +159,8 @@ let run ?(config = default_run_config) specs =
   { results = Supervisor.oks rep; failures }
 
 let run_strings ?(config = default_run_config) specs =
-  with_sinks config @@ fun () ->
+  Obs.with_sinks ~trace:config.rc_trace ~metrics:config.rc_metrics
+  @@ fun () ->
   Harness.set_shards config.rc_shards;
   Harness.set_store config.rc_store;
   let supervise jobs =
@@ -257,28 +219,8 @@ let run_strings ?(config = default_run_config) specs =
       failed = rep.Supervisor.failed;
       cancelled = rep.Supervisor.cancelled }
 
-(* --- deprecated wrappers (one release): callers should build a
-   [run_config] and use {!run} / {!run_strings} --- *)
-
-let run_specs ?(policy = Supervisor.default_policy) ?jobs specs =
-  run ~config:(config_of_policy ?jobs policy) specs
-
-let run_all ?policy ?jobs () = run_specs ?policy ?jobs all
-
-let run_specs_strings ?(policy = Supervisor.default_policy) ?jobs ?checkpoint
-    specs =
-  run_strings ~config:(config_of_policy ?jobs ?checkpoint policy) specs
-
 let string_of_failure f =
   Printf.sprintf "experiment %s FAILED after %d attempt%s: %s" f.f_spec.id
     f.f_attempts
     (if f.f_attempts = 1 then "" else "s")
     (Supervisor.string_of_error f.f_error)
-
-(* Printing happens on the calling domain after the parallel runs land in
-   registry order, so the bytes match a serial run exactly; failures, if
-   any, go to stderr after every completed table. *)
-let print_all ?(jobs = 1) () =
-  let rep = run_all ~jobs () in
-  List.iter print_tables rep.results;
-  List.iter (fun f -> prerr_endline (string_of_failure f)) rep.failures

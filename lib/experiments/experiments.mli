@@ -3,7 +3,7 @@
     artifact mapping and EXPERIMENTS.md for recorded results. *)
 
 type spec = {
-  id : string;  (** "e01" … "e14" *)
+  id : string;  (** "e01" … "e24" *)
   title : string;
   paper_ref : string;  (** the thesis table/figure it regenerates *)
   run : unit -> Table.t list;
@@ -14,13 +14,10 @@ val all : spec list
 (** Raises [Not_found] for unknown ids. *)
 val find : string -> spec
 
-(** Run one experiment and print its tables to stdout. *)
-val print_one : spec -> unit
-
 (** An experiment's printable form: the [== id: title [ref] ==] banner
-    followed by each rendered table and a blank line — exactly the bytes
-    {!print_all} emits for it, so checkpointed payloads splice back
-    byte-identically. *)
+    followed by each rendered table and a blank line. Every printing path
+    (the CLI, checkpointed and stored payloads) uses it, so their bytes
+    splice together identically. *)
 val render : spec -> Table.t list -> string
 
 (** An experiment that failed even after the supervisor's retries. *)
@@ -88,26 +85,3 @@ val run : ?config:run_config -> spec list -> report
     runs and commits its rendered bytes to the store — so a repeated
     grid is near-instant and byte-identical. *)
 val run_strings : ?config:run_config -> spec list -> string Supervisor.report
-
-(** @deprecated Build a {!run_config} and call {!run}. *)
-val run_specs : ?policy:Supervisor.policy -> ?jobs:int -> spec list -> report
-
-(** [run_specs] over the whole registry. Safe at any [jobs]: the harness
-    memo caches are domain-safe and each run owns its machines.
-    @deprecated Build a {!run_config} and call {!run}. *)
-val run_all : ?policy:Supervisor.policy -> ?jobs:int -> unit -> report
-
-(** @deprecated Build a {!run_config} and call {!run_strings}. *)
-val run_specs_strings :
-  ?policy:Supervisor.policy ->
-  ?jobs:int ->
-  ?checkpoint:Checkpoint.t ->
-  spec list ->
-  string Supervisor.report
-
-(** Run the whole suite in order, printing everything. Computation is
-    parallel across [jobs] domains (default [1], i.e. serial); printing
-    is always serial, in registry order, so the output is byte-identical
-    for every [jobs] value. Failures (none, on a healthy tree) are
-    reported on stderr after the completed tables. *)
-val print_all : ?jobs:int -> unit -> unit

@@ -25,8 +25,9 @@ let entry (w : Workload.t) input =
   Memo_cache.find_or_compute cache (w.wname, input) (fun () ->
       let machine = Machine.create (w.wbuild input) in
       let profile_live = Profile.attach machine `All in
-      let config = { Procprof.default_config with arities = w.warities } in
-      let proc_live = Procprof.attach ~config machine in
+      let proc_live =
+        Procprof.attach ~config:(Registry.procs.config w) machine
+      in
       ignore (Machine.run machine);
       { e_machine = machine;
         e_profile = Profile.collect profile_live;

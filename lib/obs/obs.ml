@@ -603,3 +603,24 @@ let () =
     | Budget.Mem_trip _ ->
       Metrics.incr m_mem_trips;
       Trace.instant ~cat:"budget" "budget.mem_pressure")
+
+let with_sinks ~trace ~metrics f =
+  if Option.is_some trace then begin
+    Trace.reset ();
+    Trace.set_enabled true
+  end;
+  let finish () =
+    Option.iter
+      (fun path ->
+        Trace.set_enabled false;
+        Trace.write_file path)
+      trace;
+    Option.iter Metrics.write_file metrics
+  in
+  match f () with
+  | v ->
+    finish ();
+    v
+  | exception e ->
+    finish ();
+    raise e

@@ -168,3 +168,12 @@ end
     this from [collect], which is what makes the registry the single
     aggregation substrate for all nine profilers. *)
 val publish_profiler_run : name:string -> Counters.t -> unit
+
+(** [with_sinks ~trace ~metrics f] runs [f] with the telemetry sinks a
+    command asked for. With [trace] set, tracing is reset and enabled
+    for exactly this call and the trace is written there on the way out.
+    With [metrics] set, the registry is written there on the way out.
+    Both writes also happen when [f] raises, and both are silent, so a
+    command's stdout is the same with and without sinks. *)
+val with_sinks :
+  trace:string option -> metrics:string option -> (unit -> 'a) -> 'a

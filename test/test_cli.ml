@@ -95,6 +95,23 @@ let test_unknown_workload_fails () =
   Alcotest.(check bool) "helpful message" true
     (Astring_contains.contains out "unknown workload")
 
+let test_fused_unknown_profiler_lists_known () =
+  let code, out = run_cli "fused -w m88ksim --profilers profile,bogus" in
+  Alcotest.(check int) "unknown profiler exits 2" 2 code;
+  Alcotest.(check bool) "names the bad entry" true
+    (Astring_contains.contains out "\"bogus\"");
+  Alcotest.(check bool) "lists the registered profilers" true
+    (Astring_contains.contains out (String.concat ", " Registry.names))
+
+(* every profiler subcommand takes the shared flag set, --stats included *)
+let test_every_profiler_subcommand_prints_stats () =
+  List.iter
+    (fun name ->
+      check_ok (name ^ " --stats")
+        (Printf.sprintf "%s -w m88ksim --stats" name)
+        [ name ^ " stats: events seen" ])
+    Registry.names
+
 let test_unknown_experiment_fails () =
   let code, _ = run_cli "experiment e99" in
   Alcotest.(check int) "usage errors exit 2" 2 code
@@ -529,6 +546,10 @@ let suite =
     Alcotest.test_case "diff" `Slow test_diff;
     Alcotest.test_case "emit roundtrip" `Slow test_emit_roundtrip;
     Alcotest.test_case "unknown workload" `Quick test_unknown_workload_fails;
+    Alcotest.test_case "fused unknown profiler lists the known ones" `Quick
+      test_fused_unknown_profiler_lists_known;
+    Alcotest.test_case "every profiler subcommand prints --stats" `Slow
+      test_every_profiler_subcommand_prints_stats;
     Alcotest.test_case "unknown experiment" `Quick test_unknown_experiment_fails;
     Alcotest.test_case "bad flag" `Quick test_bad_flag_usage_error;
     Alcotest.test_case "malformed VPROF_FAULT" `Quick

@@ -148,39 +148,6 @@ let render_speculate (s : Specul.t) =
        s.dynamic_instructions);
   Buffer.contents b
 
-(* ---- the roster: all nine adapters, each with its solo twin ------- *)
-
-type entry = {
-  pname : string;
-  item : string Fused.item;
-  solo : Asm.program -> string;
-}
-
-let entry (type r c) pname ?config
-    (module P : Profiler_intf.S with type result = r and type config = c)
-    render =
-  { pname;
-    item = Fused.item ?config ~finish:render (module P);
-    solo = (fun prog -> render (P.run ?config prog)) }
-
-(* the synthetic programs declare one one-argument procedure, "f" *)
-let arities = [ ("f", 1) ]
-
-let roster =
-  [ entry "profile" (module Profile.Profiler) render_profile;
-    entry "sample" (module Sampler.Profiler) render_sample;
-    entry "memory" (module Memprof.Profiler) render_memory;
-    entry "procs"
-      ~config:{ Procprof.default_config with Procprof.arities }
-      (module Procprof.Profiler) render_procs;
-    entry "registers" (module Regprof.Profiler) render_registers;
-    entry "contexts"
-      ~config:{ Ctxprof.default_config with Ctxprof.arities }
-      (module Ctxprof.Profiler) render_contexts;
-    entry "phases" (module Phaseprof.Profiler) render_phases;
-    entry "trivial" (module Trivprof.Profiler) render_trivial;
-    entry "speculate" (module Specul.Profiler) render_speculate ]
-
 (* A small terminating workload exercising every event kind the roster
    observes: loads, stores, ALU ops (some trivially computable), calls
    with a profiled argument, and returns. *)
@@ -202,6 +169,38 @@ let tiny_program n seed =
       Asm.br b Gt t0 "loop";
       Asm.halt b);
   Asm.assemble b ~entry:"main"
+
+(* ---- the roster: every registered profiler, with its solo twin ---- *)
+
+type entry = {
+  pname : string;
+  item : string Fused.item;
+  solo : Asm.program -> string;
+}
+
+(* the synthetic programs declare one one-argument procedure, "f"; the
+   registry configures each profiler for it as for any workload *)
+let tiny_workload =
+  { Workload.wname = "tiny"; wmimics = "(synthetic)"; wdescr = "";
+    wbuild = (fun _ -> tiny_program 1 0); wshard = None;
+    warities = [ ("f", 1) ] }
+
+let entry (type c r) (e : (c, r) Registry.entry) render =
+  let (module P) = e.profiler in
+  let config = e.config tiny_workload in
+  { pname = P.name;
+    item = Fused.item ~config ~finish:render (module P);
+    solo = (fun prog -> render (P.run ~config prog)) }
+
+(* one renderer per registered profiler, in registry order; "roster
+   covers the registry" fails until a new registration gets one *)
+let roster =
+  Registry.
+    [ entry profile render_profile; entry sample render_sample;
+      entry memory render_memory; entry procs render_procs;
+      entry registers render_registers; entry contexts render_contexts;
+      entry phases render_phases; entry trivial render_trivial;
+      entry speculate render_speculate ]
 
 (* ---- co-attachment: no profiler shadows another ------------------- *)
 
@@ -290,11 +289,9 @@ let test_fused_executes_machine_once () =
   Alcotest.(check (float 0.)) "total wall counted once" f.Fused.wall_seconds
     tot.Counters.wall_seconds
 
-let test_item_names () =
-  Alcotest.(check (list string)) "roster names"
-    [ "profile"; "sample"; "memory"; "procs"; "registers"; "contexts";
-      "phases"; "trivial"; "speculate" ]
-    (List.map (fun e -> Fused.item_name e.item) roster);
+let test_roster_covers_registry () =
+  Alcotest.(check (list string)) "roster names" Registry.names
+    (List.map (fun e -> e.pname) roster);
   List.iter
     (fun e -> Alcotest.(check string) "name matches" e.pname
         (Fused.item_name e.item))
@@ -392,7 +389,7 @@ let suite =
       test_coattached_profilers_see_every_event;
     Alcotest.test_case "fused executes machine once" `Quick
       test_fused_executes_machine_once;
-    Alcotest.test_case "item names" `Quick test_item_names;
+    Alcotest.test_case "item names" `Quick test_roster_covers_registry;
     Alcotest.test_case "all nine fused match solo" `Quick
       test_all_nine_fused_match_solo;
     Alcotest.test_case "degradation sheds the costliest member" `Quick
