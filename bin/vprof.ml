@@ -3,20 +3,19 @@
    Subcommands: list, run, disasm, emit, the profiler subcommands,
    fused, specialize, memoize, diff, experiment, experiments, store.
 
-   The profiler subcommands (profile, sample, memory, procs, ...) are
-   generated from lib/driver/registry: each is one registry entry plus
-   its own flags and detail table, built by [profiler_cmd], and
-   [fused --profilers] accepts every registered name. Registering a
-   profiler there is the whole of adding one to the CLI (plus its
-   subcommand's detail table here).
+   The profiler subcommands (profile, sample, memory, procs, ...) come
+   from lib/driver/registry: each is one registry entry plus its own
+   flags and detail table, built by [profiler_cmd], and
+   [fused --profilers] accepts every registered name. Adding a profiler
+   is one registration there plus its subcommand body here.
 
    Shared flags (workload/input selection, --fuel, --jobs) live in
-   Cli_common; every profiling run goes through the parallel driver
-   (lib/driver), and runs that share a (workload, input, fuel) key fuse
-   onto one machine execution, so -j N parallelizes them while keeping
-   output byte-identical to -j 1. Experiment runs go through the
-   supervisor (retry/record instead of abort) and can be made
-   crash-safe with --checkpoint/--resume.
+   Cli_common. Profiling runs go through the parallel driver
+   (lib/driver): -j N spreads independent runs over N domains, runs
+   sharing a (workload, input, fuel) key fuse onto one machine
+   execution, and output stays byte-identical to -j 1. Experiment runs
+   go through the supervisor (retry/record instead of abort) and can be
+   made crash-safe with --checkpoint/--resume.
 
    Workload-running commands also accept --deadline / --max-heap /
    --degrade (Cli_common.governance_arg): the run executes under a
@@ -569,27 +568,28 @@ let fused_cmd =
             (String.concat ", " Registry.names) )
     | [] ->
       (* one job per profiler, all sharing the (workload, input, fuel)
-         key, so the driver coalesces them into one machine execution *)
-      let js =
-        List.map
-          (fun e -> Registry.brief_job ?fuel e w input)
-          (List.filter_map Registry.find names)
+         key, so the driver coalesces them into one machine execution;
+         each reduces its result to what is printed below *)
+      let job (Registry.Entry e) =
+        let (module P) = e.profiler in
+        Registry.job e ?fuel w input ~finish:(fun r ->
+            (P.name, P.summary r, P.dynamic_instructions r, P.stats r))
       in
+      let js = List.map job (List.filter_map Registry.find names) in
       Printf.printf "schedule: %s\n" (String.concat "; " (Driver.plan js));
       let results = Driver.run_jobs ~jobs:(effective_jobs jobs) js in
       (match results with
-       | first :: _ ->
+       | (_, _, steps, _) :: _ ->
          Printf.printf
            "%s (%s): %d profilers, one machine execution, %s machine steps\n"
            w.wname
            (Workload.string_of_input input)
-           (List.length results)
-           (Table.count first.Registry.b_steps)
+           (List.length results) (Table.count steps)
        | [] -> ());
       List.iter
-        (fun (b : Registry.brief) ->
-          Printf.printf "  %-10s %s\n" b.b_name b.b_summary;
-          print_stats stats b.b_name b.b_stats)
+        (fun (name, summary, _, c) ->
+          Printf.printf "  %-10s %s\n" name summary;
+          print_stats stats name c)
         results;
       `Ok ()
   in

@@ -44,20 +44,5 @@ let names = List.map (fun (Entry e) -> name e) all
 let find n = List.find_opt (fun (Entry e) -> name e = n) all
 
 let job ?config ?fuel ~finish e w input =
-  let config = match config with Some c -> c | None -> e.config w in
+  let config = Option.value config ~default:(e.config w) in
   Driver.job ~config ?fuel ~finish e.profiler w input
-
-type brief = {
-  b_name : string;
-  b_summary : string;
-  b_steps : int;
-  b_stats : Counters.t;
-}
-
-let brief_job ?fuel (Entry e) w input =
-  let (module P) = e.profiler in
-  job ?fuel e w input ~finish:(fun r ->
-      { b_name = P.name;
-        b_summary = P.summary r;
-        b_steps = P.dynamic_instructions r;
-        b_stats = P.stats r })

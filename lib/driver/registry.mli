@@ -48,14 +48,3 @@ val job :
   Workload.t ->
   Workload.input ->
   'a Driver.job
-
-(** A finished run reduced to what [vprof fused] prints for it. *)
-type brief = {
-  b_name : string;
-  b_summary : string;  (** the profiler's one-line [summary] *)
-  b_steps : int;  (** machine steps the run observed *)
-  b_stats : Counters.t;
-}
-
-(** {!job} with the default config, finishing into a {!brief}. *)
-val brief_job : ?fuel:int -> t -> Workload.t -> Workload.input -> brief Driver.job

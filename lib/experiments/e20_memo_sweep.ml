@@ -19,10 +19,7 @@ let run () =
       let rates =
         List.map
           (fun memo_capacity ->
-            let config =
-              { Procprof.default_config with arities = w.warities;
-                memo_capacity }
-            in
+            let config = { (Registry.procs.config w) with memo_capacity } in
             let pp = Procprof.run ~config (w.wbuild Workload.Test) in
             Procprof.memo_hit_rate pp)
           capacities

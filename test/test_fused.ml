@@ -192,8 +192,8 @@ let entry (type c r) (e : (c, r) Registry.entry) render =
     item = Fused.item ~config ~finish:render (module P);
     solo = (fun prog -> render (P.run ~config prog)) }
 
-(* one renderer per registered profiler, in registry order; "roster
-   covers the registry" fails until a new registration gets one *)
+(* one renderer per registered profiler, in registry order; "item
+   names" fails until a new registration gets one *)
 let roster =
   Registry.
     [ entry profile render_profile; entry sample render_sample;
