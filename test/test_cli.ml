@@ -546,10 +546,6 @@ let suite =
     Alcotest.test_case "diff" `Slow test_diff;
     Alcotest.test_case "emit roundtrip" `Slow test_emit_roundtrip;
     Alcotest.test_case "unknown workload" `Quick test_unknown_workload_fails;
-    Alcotest.test_case "fused unknown profiler lists the known ones" `Quick
-      test_fused_unknown_profiler_lists_known;
-    Alcotest.test_case "every profiler subcommand prints --stats" `Slow
-      test_every_profiler_subcommand_prints_stats;
     Alcotest.test_case "unknown experiment" `Quick test_unknown_experiment_fails;
     Alcotest.test_case "bad flag" `Quick test_bad_flag_usage_error;
     Alcotest.test_case "malformed VPROF_FAULT" `Quick
@@ -577,4 +573,8 @@ let suite =
     Alcotest.test_case "store verify/repair/scrub cycle" `Slow
       test_store_verify_repair_scrub_cycle;
     Alcotest.test_case "kill -9 mid-put never loses an acknowledged profile"
-      `Slow test_kill_mid_put_never_loses_acknowledged_profile ]
+      `Slow test_kill_mid_put_never_loses_acknowledged_profile;
+    Alcotest.test_case "fused unknown profiler lists the known ones" `Quick
+      test_fused_unknown_profiler_lists_known;
+    Alcotest.test_case "every profiler subcommand prints --stats" `Slow
+      test_every_profiler_subcommand_prints_stats ]
