@@ -1,6 +1,6 @@
 (** Fusing profilers: K profilers, one machine execution.
 
-    Because machine instrumentation is additive (see {!Machine.add_hook}),
+    Because machine instrumentation is additive (see {!Machine.add_observer}),
     any number of profilers can attach to the same machine and each sees
     every event it would have seen solo. This module packages that as a
     combinator over {!Profiler_intf.S}: a heterogeneous list of packed

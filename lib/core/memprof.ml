@@ -32,7 +32,8 @@ let attach ?(config = default_config) machine =
     { machine; table = Hashtbl.create 4096; config; untracked = 0;
       started = Counters.now () }
   in
-  let observe value addr =
+  let observe () =
+    let value = Machine.value machine and addr = Machine.addr machine in
     match Hashtbl.find_opt live.table addr with
     | Some vs -> Vstate.observe vs value
     | None ->
@@ -52,8 +53,9 @@ let attach ?(config = default_config) machine =
   in
   List.iter
     (fun sel ->
-      let pcs = Atom.select prog sel in
-      ignore (Atom.instrument machine pcs (fun _pc -> observe)))
+      List.iter
+        (fun pc -> Machine.add_observer machine pc observe)
+        (Atom.select prog sel))
     selections;
   live
 

@@ -49,7 +49,7 @@ let close_window st =
     st.in_window <- 0
   end
 
-let observe st value =
+let[@inline] observe st value =
   Vstate.observe st.overall value;
   Vstate.observe st.window_vs value;
   st.in_window <- st.in_window + 1;
@@ -71,7 +71,9 @@ let attach ?(config = default_config) machine selection =
              cfg = config })
   in
   List.iter
-    (fun st -> Machine.add_hook machine st.pc (fun value _addr -> observe st value))
+    (fun st ->
+      Machine.add_observer machine st.pc (fun () ->
+          observe st (Machine.value machine)))
     states;
   { machine; states; started = Counters.now () }
 

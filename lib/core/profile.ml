@@ -19,15 +19,35 @@ type live = {
   started : float; (* Counters.now at attach time *)
 }
 
-let attach ?config machine selection =
-  let prog = Machine.program machine in
-  let pcs = Atom.select prog selection in
+(* One Vstate per selected pc, fed by that pc's observer. With
+   [window = (lo, hi)] an observer keeps only the events whose 1-based
+   dynamic index i satisfies lo < i <= hi (see [run_shard]). *)
+let attach_window ?config ?window machine selection =
+  let pcs = Atom.select (Machine.program machine) selection in
   let states = List.map (fun pc -> (pc, Vstate.create ?config ())) pcs in
   List.iter
     (fun (pc, vs) ->
-      Machine.add_hook machine pc (fun value _addr -> Vstate.observe vs value))
+      Machine.add_observer machine pc
+        (match window with
+         | None -> fun () -> Vstate.observe vs (Machine.value machine)
+         | Some (lo, hi) ->
+           fun () ->
+             let i = Machine.icount machine in
+             if lo < i && i <= hi then Vstate.observe vs (Machine.value machine)))
     states;
   { machine; states; started = Counters.now () }
+
+let attach ?config machine selection = attach_window ?config machine selection
+
+(* The TNV churn counters of a set of states. *)
+let count_churn stats states =
+  List.iter
+    (fun (_, vs) ->
+      stats.Counters.tnv_clears <-
+        stats.Counters.tnv_clears + Vstate.tnv_clears vs;
+      stats.Counters.tnv_replacements <-
+        stats.Counters.tnv_replacements + Vstate.tnv_replacements vs)
+    states
 
 let proc_name prog pc =
   match Asm.proc_of_pc prog pc with
@@ -52,13 +72,7 @@ let collect live =
   let stats = Counters.create () in
   stats.Counters.events_seen <- Machine.icount live.machine;
   stats.Counters.events_profiled <- profiled_events;
-  List.iter
-    (fun (_, vs) ->
-      stats.Counters.tnv_clears <-
-        stats.Counters.tnv_clears + Vstate.tnv_clears vs;
-      stats.Counters.tnv_replacements <-
-        stats.Counters.tnv_replacements + Vstate.tnv_replacements vs)
-    live.states;
+  count_churn stats live.states;
   stats.Counters.wall_seconds <- Counters.now () -. live.started;
   { points;
     instrumented = Array.length points;
@@ -133,23 +147,7 @@ type shard = {
    whole run (the per-input-chunk mode, where the chunk is the slice). *)
 let run_shard ?config ?(selection = `All) ?window ?fuel prog =
   let machine = Machine.create prog in
-  let started = Counters.now () in
-  let pcs = Atom.select prog selection in
-  let states = List.map (fun pc -> (pc, Vstate.create ?config ())) pcs in
-  (match window with
-   | None ->
-     List.iter
-       (fun (pc, vs) ->
-         Machine.add_hook machine pc (fun value _addr ->
-             Vstate.observe vs value))
-       states
-   | Some (lo, hi) ->
-     List.iter
-       (fun (pc, vs) ->
-         Machine.add_hook machine pc (fun value _addr ->
-             let i = Machine.icount machine in
-             if lo < i && i <= hi then Vstate.observe vs value))
-       states);
+  let live = attach_window ?config ?window machine selection in
   ignore (Machine.run ?fuel machine);
   let total = Machine.icount machine in
   let sh_icount =
@@ -160,16 +158,10 @@ let run_shard ?config ?(selection = `All) ?window ?fuel prog =
   let stats = Counters.create () in
   stats.Counters.events_seen <- sh_icount;
   stats.Counters.events_profiled <-
-    List.fold_left (fun acc (_, vs) -> acc + Vstate.total vs) 0 states;
-  List.iter
-    (fun (_, vs) ->
-      stats.Counters.tnv_clears <-
-        stats.Counters.tnv_clears + Vstate.tnv_clears vs;
-      stats.Counters.tnv_replacements <-
-        stats.Counters.tnv_replacements + Vstate.tnv_replacements vs)
-    states;
-  stats.Counters.wall_seconds <- Counters.now () -. started;
-  { sh_states = states; sh_icount; sh_stats = stats }
+    List.fold_left (fun acc (_, vs) -> acc + Vstate.total vs) 0 live.states;
+  count_churn stats live.states;
+  stats.Counters.wall_seconds <- Counters.now () -. live.started;
+  { sh_states = live.states; sh_icount; sh_stats = stats }
 
 (* Merge shards in list (= shard) order into one profile; the result
    depends only on the shards' contents and order, never on how they were

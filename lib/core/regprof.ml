@@ -33,7 +33,8 @@ let attach ?(config = default_config) machine =
       | None -> ()
       | Some rd ->
         let vs = states.(rd) in
-        Machine.add_hook machine pc (fun value _addr -> Vstate.observe vs value))
+        Machine.add_observer machine pc (fun () ->
+            Vstate.observe vs (Machine.value machine)))
     pcs;
   { machine; states; started = Counters.now () }
 

@@ -110,7 +110,7 @@ let end_of_burst st =
   st.to_skip <- st.skip;
   st.in_burst <- 0
 
-let observe st value =
+let[@inline] observe st value =
   st.events <- st.events + 1;
   if st.to_skip > 0 then st.to_skip <- st.to_skip - 1
   else begin
@@ -153,7 +153,8 @@ let attach ?(config = default_config) ?vconfig machine selection =
   let states = List.map (fun pc -> (pc, make_state config vconfig)) pcs in
   List.iter
     (fun (pc, st) ->
-      Machine.add_hook machine pc (fun value _addr -> observe st value))
+      Machine.add_observer machine pc (fun () ->
+          observe st (Machine.value machine)))
     states;
   { machine; states; started = Counters.now () }
 

@@ -53,7 +53,8 @@ let attach ?(max_tracked = 1 lsl 16) machine =
   let store_pcs = Atom.select prog `Stores in
   List.iter
     (fun pc ->
-      Machine.add_hook machine pc (fun value addr ->
+      Machine.add_observer machine pc (fun () ->
+          let value = Machine.value machine and addr = Machine.addr machine in
           live.store_events <- live.store_events + 1;
           let changed =
             match Hashtbl.find_opt live.content addr with
@@ -71,7 +72,8 @@ let attach ?(max_tracked = 1 lsl 16) machine =
     store_pcs;
   List.iter
     (fun st ->
-      Machine.add_hook machine st.pc (fun value addr ->
+      Machine.add_observer machine st.pc (fun () ->
+          let value = Machine.value machine and addr = Machine.addr machine in
           Hashtbl.replace live.content addr value;
           st.executions <- st.executions + 1;
           let last_mod =

@@ -72,7 +72,7 @@ let attach machine =
           && (match operand with Isa.Reg rb -> rc <> rb | Isa.Imm _ -> true)
         in
         if sources_survive then
-          Machine.add_hook machine pc (fun _value _addr ->
+          Machine.add_observer machine pc (fun () ->
               live.alu_events <- live.alu_events + 1;
               live.measured <- live.measured + 1;
               let a = Machine.reg machine ra in
@@ -85,7 +85,7 @@ let attach machine =
               | Some kind -> record live kind imm
               | None -> ())
         else
-          Machine.add_hook machine pc (fun _value _addr ->
+          Machine.add_observer machine pc (fun () ->
               live.alu_events <- live.alu_events + 1)
       | _ -> ())
     prog.Asm.code;

@@ -34,12 +34,17 @@ module Distinct = struct
     Int64.to_int (Int64.shift_right_logical (Int64.mul v 0x9E3779B97F4A7C15L) 32)
     land t.mask
 
-  (* Cell holding [v], or the empty cell where it would go. *)
-  let rec probe t v i =
-    if Bytes.unsafe_get t.present i = '\000'
-       || Int64.equal (Array.unsafe_get t.values i) v
-    then i
-    else probe t v ((i + 1) land t.mask)
+  (* Cell holding [v], or the empty cell where it would go. A loop, so it
+     inlines and takes [v] unboxed. *)
+  let[@inline] probe t v i =
+    let i = ref i in
+    while
+      Bytes.unsafe_get t.present !i <> '\000'
+      && not (Int64.equal (Array.unsafe_get t.values !i) v)
+    do
+      i := (!i + 1) land t.mask
+    done;
+    !i
 
   let length t = t.count
 
@@ -59,7 +64,7 @@ module Distinct = struct
     done
 
   (* [true] if [v] was freshly inserted, [false] if already present. *)
-  let add t v =
+  let[@inline] add t v =
     let i = probe t v (hash t v) in
     if Bytes.unsafe_get t.present i <> '\000' then false
     else begin
@@ -70,7 +75,7 @@ module Distinct = struct
       true
     end
 
-  let mem t v =
+  let[@inline] mem t v =
     Bytes.unsafe_get t.present (probe t v (hash t v)) <> '\000'
 
   let iter t f =
@@ -88,13 +93,16 @@ module Distinct = struct
     t.count <- 0
 end
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
 type t = {
   tnv : Tnv.t;
   deltas : Tnv.t; (* TNV over value transitions: the stride profile *)
   distinct : Distinct.t;
   distinct_cap : int;
   mutable saturated : bool;
-  mutable last : int64;
+  last : Bytes.t; (* the previous value, 8 bytes: stored without boxing *)
   mutable has_last : bool;
   mutable lvp_hits : int;
   mutable zero_hits : int;
@@ -110,29 +118,28 @@ let create ?(config = default_config) () =
     distinct = Distinct.create ();
     distinct_cap = config.distinct_cap;
     saturated = false;
-    last = 0L;
+    last = Bytes.make 8 '\000';
     has_last = false;
     lvp_hits = 0;
     zero_hits = 0 }
 
-let track_distinct t v =
+let[@inline] track_distinct t v =
   if Distinct.length t.distinct < t.distinct_cap then
     ignore (Distinct.add t.distinct v)
   else if not (Distinct.mem t.distinct v) then t.saturated <- true
 
-let observe t v =
+let[@inline] observe t v =
   let hit = Tnv.add_mem t.tnv v in
   if t.has_last then begin
-    let repeat = Int64.equal v t.last in
+    let last = get64 t.last 0 in
+    let repeat = Int64.equal v last in
     if repeat then begin
       t.lvp_hits <- t.lvp_hits + 1;
-      (* the repeat case keeps the old [last] box and the constant 0 delta
-         instead of a store barrier plus a boxed [Int64.sub] *)
       Tnv.add t.deltas 0L
     end
     else begin
-      Tnv.add t.deltas (Int64.sub v t.last);
-      t.last <- v
+      Tnv.add t.deltas (Int64.sub v last);
+      set64 t.last 0 v
     end;
     if Int64.equal v 0L then t.zero_hits <- t.zero_hits + 1;
     (* a value already resident in the TNV table (or equal to the previous
@@ -143,7 +150,7 @@ let observe t v =
     if not (repeat || hit || t.saturated) then track_distinct t v
   end
   else begin
-    t.last <- v;
+    set64 t.last 0 v;
     t.has_last <- true;
     if Int64.equal v 0L then t.zero_hits <- t.zero_hits + 1;
     track_distinct t v
@@ -195,7 +202,7 @@ let merge a b =
     distinct_cap;
     saturated =
       a.saturated || b.saturated || Distinct.length distinct > distinct_cap;
-    last = (if b.has_last then b.last else a.last);
+    last = Bytes.copy (if b.has_last then b.last else a.last);
     has_last = a.has_last || b.has_last;
     lvp_hits = a.lvp_hits + b.lvp_hits;
     zero_hits = a.zero_hits + b.zero_hits }
@@ -205,7 +212,7 @@ let reset t =
   Tnv.reset t.deltas;
   Distinct.reset t.distinct;
   t.saturated <- false;
-  t.last <- 0L;
+  set64 t.last 0 0L;
   t.has_last <- false;
   t.lvp_hits <- 0;
   t.zero_hits <- 0

@@ -7,56 +7,9 @@
 
 let capacities = [ 1; 2; 4; 8; 16 ]
 
-type point_state = {
-  oracle : Oracle.t;
-  tnvs : (int * Tnv.t) list; (* capacity, table *)
-}
-
-let measure (w : Workload.t) =
-  let prog = w.wbuild Workload.Test in
-  let machine = Machine.create prog in
-  let pcs = Atom.select prog `Loads in
-  let states =
-    List.map
-      (fun pc ->
-        ( pc,
-          { oracle = Oracle.create ();
-            tnvs = List.map (fun c -> (c, Tnv.create ~capacity:c ())) capacities } ))
-      pcs
-  in
-  List.iter
-    (fun (pc, st) ->
-      Machine.add_hook machine pc (fun value _addr ->
-          Oracle.observe st.oracle value;
-          List.iter (fun (_, tnv) -> Tnv.add tnv value) st.tnvs))
-    states;
-  ignore (Machine.run machine);
-  (* per capacity: (weighted inv_top error, weighted top-match rate) *)
-  List.map
-    (fun cap ->
-      let err_num = ref 0. and match_num = ref 0. and den = ref 0. in
-      List.iter
-        (fun (_, st) ->
-          let total = Oracle.total st.oracle in
-          if total > 0 then begin
-            let tnv = List.assoc cap st.tnvs in
-            let weight = float_of_int total in
-            den := !den +. weight;
-            err_num :=
-              !err_num
-              +. (weight *. abs_float (Tnv.inv_top tnv -. Oracle.inv_top st.oracle));
-            let matches =
-              match (Tnv.top tnv, Oracle.top st.oracle) with
-              | Some (v, _), Some (ov, _) -> Int64.equal v ov
-              | None, None -> true
-              | Some _, None | None, Some _ -> false
-            in
-            if matches then match_num := !match_num +. weight
-          end)
-        states;
-      if !den = 0. then (cap, 0., 1.)
-      else (cap, !err_num /. !den, !match_num /. !den))
-    capacities
+(* per capacity: (weighted inv_top error, weighted top-match rate) *)
+let measure w =
+  Harness.tnv_sweep w (List.map (fun c () -> Tnv.create ~capacity:c ()) capacities)
 
 let run () =
   let headers =
@@ -77,7 +30,7 @@ let run () =
       Table.add_row table
         (w.wname
          :: List.concat_map
-              (fun (_, err, m) -> [ Table.pct err; Table.pct m ])
+              (fun (err, m) -> [ Table.pct err; Table.pct m ])
               per_cap))
     Harness.workloads;
   [ table ]

@@ -7,55 +7,9 @@ let capacity = 4
 let policies =
   [ ("lfu-clear", Tnv.Lfu_clear); ("lfu", Tnv.Lfu); ("lru", Tnv.Lru) ]
 
-type point_state = {
-  oracle : Oracle.t;
-  tnvs : (string * Tnv.t) list;
-}
-
-let measure (w : Workload.t) =
-  let prog = w.wbuild Workload.Test in
-  let machine = Machine.create prog in
-  let pcs = Atom.select prog `Loads in
-  let states =
-    List.map
-      (fun pc ->
-        ( pc,
-          { oracle = Oracle.create ();
-            tnvs =
-              List.map
-                (fun (n, p) -> (n, Tnv.create ~policy:p ~capacity ()))
-                policies } ))
-      pcs
-  in
-  List.iter
-    (fun (pc, st) ->
-      Machine.add_hook machine pc (fun value _addr ->
-          Oracle.observe st.oracle value;
-          List.iter (fun (_, tnv) -> Tnv.add tnv value) st.tnvs))
-    states;
-  ignore (Machine.run machine);
-  List.map
-    (fun (pname, _) ->
-      let err_num = ref 0. and match_num = ref 0. and den = ref 0. in
-      List.iter
-        (fun (_, st) ->
-          let total = Oracle.total st.oracle in
-          if total > 0 then begin
-            let tnv = List.assoc pname st.tnvs in
-            let weight = float_of_int total in
-            den := !den +. weight;
-            err_num :=
-              !err_num
-              +. (weight *. abs_float (Tnv.inv_top tnv -. Oracle.inv_top st.oracle));
-            (match (Tnv.top tnv, Oracle.top st.oracle) with
-             | Some (v, _), Some (ov, _) when Int64.equal v ov ->
-               match_num := !match_num +. weight
-             | _ -> ())
-          end)
-        states;
-      if !den = 0. then (pname, 0., 1.)
-      else (pname, !err_num /. !den, !match_num /. !den))
-    policies
+let measure w =
+  Harness.tnv_sweep w
+    (List.map (fun (_, p) () -> Tnv.create ~policy:p ~capacity ()) policies)
 
 let run () =
   let headers =
@@ -76,7 +30,7 @@ let run () =
       Table.add_row table
         (w.wname
          :: List.concat_map
-              (fun (_, err, m) -> [ Table.pct err; Table.pct m ])
+              (fun (err, m) -> [ Table.pct err; Table.pct m ])
               per_policy))
     Harness.workloads;
   [ table ]

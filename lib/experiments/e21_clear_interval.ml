@@ -8,50 +8,11 @@ let intervals = [ 50; 200; 1000; 2000; 10000 ]
 
 let capacity = 8
 
-type point_state = {
-  oracle : Oracle.t;
-  tnvs : (int * Tnv.t) list;
-}
-
-let measure (w : Workload.t) =
-  let prog = w.wbuild Workload.Test in
-  let machine = Machine.create prog in
-  let pcs = Atom.select prog `Loads in
-  let states =
-    List.map
-      (fun pc ->
-        ( pc,
-          { oracle = Oracle.create ();
-            tnvs =
-              List.map
-                (fun i -> (i, Tnv.create ~clear_interval:i ~capacity ()))
-                intervals } ))
-      pcs
-  in
-  List.iter
-    (fun (pc, st) ->
-      Machine.add_hook machine pc (fun value _addr ->
-          Oracle.observe st.oracle value;
-          List.iter (fun (_, tnv) -> Tnv.add tnv value) st.tnvs))
-    states;
-  ignore (Machine.run machine);
-  List.map
-    (fun interval ->
-      let err_num = ref 0. and den = ref 0. in
-      List.iter
-        (fun (_, st) ->
-          let total = Oracle.total st.oracle in
-          if total > 0 then begin
-            let tnv = List.assoc interval st.tnvs in
-            let weight = float_of_int total in
-            den := !den +. weight;
-            err_num :=
-              !err_num
-              +. (weight *. abs_float (Tnv.inv_top tnv -. Oracle.inv_top st.oracle))
-          end)
-        states;
-      (interval, if !den = 0. then 0. else !err_num /. !den))
-    intervals
+(* per interval: weighted inv_top error *)
+let measure w =
+  Harness.tnv_sweep w
+    (List.map (fun i () -> Tnv.create ~clear_interval:i ~capacity ()) intervals)
+  |> List.map fst
 
 let run () =
   let headers =
@@ -68,6 +29,6 @@ let run () =
   List.iter
     (fun (w : Workload.t) ->
       let per = measure w in
-      Table.add_row table (w.wname :: List.map (fun (_, e) -> Table.pct e) per))
+      Table.add_row table (w.wname :: List.map Table.pct per))
     Harness.workloads;
   [ table ]

@@ -113,3 +113,45 @@ let clear_cache () =
 let load_points p = Profile.points_by_category p Isa.Load
 
 let value_points p = Array.to_list p.Profile.points
+
+(* One instrumented run of the test input feeds every load event to an
+   exact oracle and to each table of the sweep, so all tables observe
+   the same stream. *)
+let tnv_sweep (w : Workload.t) tables =
+  let prog = w.wbuild Workload.Test in
+  let machine = Machine.create prog in
+  let points =
+    List.map
+      (fun pc ->
+        let oracle = Oracle.create () in
+        let tnvs = Array.of_list (List.map (fun make -> make ()) tables) in
+        Machine.add_observer machine pc (fun () ->
+            let v = Machine.value machine in
+            Oracle.observe oracle v;
+            for i = 0 to Array.length tnvs - 1 do
+              Tnv.add (Array.unsafe_get tnvs i) v
+            done);
+        (oracle, tnvs))
+      (Atom.select prog `Loads)
+  in
+  ignore (Machine.run machine);
+  List.mapi
+    (fun k _ ->
+      let err = ref 0. and top = ref 0. and den = ref 0. in
+      List.iter
+        (fun (oracle, tnvs) ->
+          let total = Oracle.total oracle in
+          if total > 0 then begin
+            let tnv = tnvs.(k) and weight = float_of_int total in
+            den := !den +. weight;
+            err :=
+              !err
+              +. (weight *. abs_float (Tnv.inv_top tnv -. Oracle.inv_top oracle));
+            match (Tnv.top tnv, Oracle.top oracle) with
+            | Some (v, _), Some (ov, _) when Int64.equal v ov ->
+              top := !top +. weight
+            | _ -> ()
+          end)
+        points;
+      if !den = 0. then (0., 1.) else (!err /. !den, !top /. !den))
+    tables

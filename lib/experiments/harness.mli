@@ -57,3 +57,14 @@ val load_points : Profile.t -> Profile.point list
 
 (** [value_points p] — points of every value-producing instruction. *)
 val value_points : Profile.t -> Profile.point list
+
+(** [tnv_sweep w tables] runs [w]'s test input once with every load
+    instrumented, feeding each event to an exact {!Oracle} and to one
+    fresh table per entry of [tables] (built by calling it once per
+    point). For each entry, in order, returns the execution-weighted mean
+    absolute Inv-Top error of the table against the oracle, and the
+    weighted rate at which the table's top value is the oracle's —
+    [(0., 1.)] when the workload executes no load. The TNV-size,
+    replacement-policy and clear-interval experiments are sweeps over
+    [tables]. *)
+val tnv_sweep : Workload.t -> (unit -> Tnv.t) list -> (float * float) list

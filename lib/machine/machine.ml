@@ -17,11 +17,21 @@ type hook = int64 -> int64 -> unit
 let stack_base = 0x7F0_0000L
 let max_call_depth = 100_000
 
+(* Registers, memory pages and the value cell are raw bytes accessed
+   through the bounds-checked native-endian primitives, so a word moves
+   between them unboxed; an [int64 array] boxed every register write. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
 type frame = { return_pc : int; frame_proc : int }
 
 type t = {
   prog : Asm.program;
-  regs : int64 array;
+  regs : Bytes.t; (* Isa.num_regs words *)
+  (* The value (bytes 0-7) and effective address (bytes 8-15) of the
+     instruction whose observers are firing, written just before they
+     fire and read back by [value]/[addr]. *)
+  cell : Bytes.t;
   mem : Memory.t;
   mutable pc : int;
   mutable halted : bool;
@@ -33,13 +43,13 @@ type t = {
   (* What the interpreter dispatches through: at most one closure per
      point, so the hot path is the same single load + option test whether
      a point has zero, one, or many observers. With several observers the
-     closure is a pre-built fan-out over a flat array (see [add_sub]). *)
-  hooks : hook option array;
+     closure is a pre-built fan-out over a flat array (see [rebuild_hook]). *)
+  hooks : (unit -> unit) option array;
   entry_hooks : (t -> unit) option array;
   return_hooks : (t -> int64 -> unit) option array;
   (* The actual subscriber lists (attach order), kept cold: only [add_*]
      and [hook_count] read them. *)
-  hook_subs : hook list array;
+  hook_subs : (unit -> unit) list array;
   entry_subs : (t -> unit) list array;
   return_subs : (t -> int64 -> unit) list array;
   (* Open recording frame: while [Some], every subscription is also
@@ -49,7 +59,7 @@ type t = {
 }
 
 and sub =
-  | S_hook of int * hook
+  | S_hook of int * (unit -> unit)
   | S_entry of int * (t -> unit)
   | S_return of int * (t -> int64 -> unit)
 
@@ -68,14 +78,19 @@ let build_proc_of (prog : Asm.program) =
 let load_data t =
   List.iter (fun (base, words) -> Memory.load_segment t.mem base words) t.prog.data
 
-let init_regs regs =
-  Array.fill regs 0 (Array.length regs) 0L;
-  regs.(Isa.sp) <- stack_base
+let[@inline] reg_get t r = get64 t.regs (r lsl 3)
+
+let[@inline] reg_set t r v = if r <> Isa.zero_reg then set64 t.regs (r lsl 3) v
+
+let init_regs t =
+  Bytes.fill t.regs 0 (Bytes.length t.regs) '\000';
+  reg_set t Isa.sp stack_base
 
 let create prog =
   let t =
     { prog;
-      regs = Array.make Isa.num_regs 0L;
+      regs = Bytes.make (8 * Isa.num_regs) '\000';
+      cell = Bytes.make 16 '\000';
       mem = Memory.create ();
       pc = prog.entry;
       halted = false;
@@ -92,12 +107,12 @@ let create prog =
       return_subs = Array.make (Array.length prog.procs) [];
       recording = None }
   in
-  init_regs t.regs;
+  init_regs t;
   load_data t;
   t
 
 let reset t =
-  init_regs t.regs;
+  init_regs t;
   Memory.clear t.mem;
   load_data t;
   t.pc <- t.prog.entry;
@@ -108,9 +123,8 @@ let reset t =
   t.depth <- 0
 
 let program t = t.prog
-let reg t r = t.regs.(r)
-
-let set_reg t r v = if r <> Isa.zero_reg then t.regs.(r) <- v
+let reg = reg_get
+let set_reg = reg_set
 
 let memory t = t.mem
 let pc t = t.pc
@@ -143,15 +157,23 @@ let rebuild_hook t pc =
     let fs = Array.of_list hs in
     t.hooks.(pc) <-
       Some
-        (fun v a ->
+        (fun () ->
           for i = 0 to Array.length fs - 1 do
-            (Array.unsafe_get fs i) v a
+            (Array.unsafe_get fs i) ()
           done)
 
-let add_hook t pc h =
-  t.hook_subs.(pc) <- t.hook_subs.(pc) @ [ h ];
-  record t (S_hook (pc, h));
+let[@inline] value t = get64 t.cell 0
+let[@inline] addr t = get64 t.cell 8
+
+let add_observer t pc f =
+  t.hook_subs.(pc) <- t.hook_subs.(pc) @ [ f ];
+  record t (S_hook (pc, f));
   rebuild_hook t pc
+
+(* The boxing adapter: the same dispatch, with the cell's contents handed
+   over as (boxed) arguments. *)
+let add_hook t pc (h : hook) =
+  add_observer t pc (fun () -> h (value t) (addr t))
 
 let clear_hook t pc =
   t.hooks.(pc) <- None;
@@ -239,7 +261,7 @@ let detach t subs =
         rebuild_return t i)
     subs
 
-let eval_binop op pc a b =
+let[@inline] eval_binop op pc a b =
   match op with
   | Isa.Add -> Int64.add a b
   | Isa.Sub -> Int64.sub a b
@@ -257,7 +279,7 @@ let eval_binop op pc a b =
   | Isa.Cmple -> if Int64.compare a b <= 0 then 1L else 0L
   | Isa.Cmpult -> if Int64.unsigned_compare a b < 0 then 1L else 0L
 
-let cond_holds c v =
+let[@inline] cond_holds c v =
   let s = Int64.compare v 0L in
   match c with
   | Isa.Eq -> s = 0
@@ -281,16 +303,23 @@ let enter_proc t target =
     match t.entry_hooks.(callee) with None -> () | Some h -> h t
 
 (* Deliver the per-pc dispatcher. Each [step] arm ends here with the value
-   and address it produced (0L where the instruction has none), so the
-   interpreter never materializes a (value, addr) pair — the old ref-cell
-   plumbing cost two allocations and two write barriers per instruction.
-   Zero or one observer costs one unsafe load plus an option test; several
-   observers cost the same dispatch into a pre-built fan-out closure (see
-   [add_hook]). [pc] was bounds-checked on entry to [step] and [hooks]
-   matches the code array's length. *)
-let[@inline] fire_hook t pc v a =
-  match Array.unsafe_get t.hooks pc with None -> () | Some h -> h v a
+   and address it produced (0L where the instruction has none). Zero
+   observers cost one unsafe load plus an option test; otherwise the pair
+   goes into the cell, unboxed, and the dispatcher (a single observer, or
+   a pre-built fan-out over several; see [add_observer]) is called with
+   no argument to box. [pc] was bounds-checked on entry to [step] and
+   [hooks] matches the code array's length. *)
+let[@inline] fire t pc v a =
+  match Array.unsafe_get t.hooks pc with
+  | None -> ()
+  | Some f ->
+    set64 t.cell 0 v;
+    set64 t.cell 8 a;
+    f ()
 
+(* The [Op] operand is matched in two arms rather than bound with a [let]:
+   a [let] over a match whose [Imm] arm is a boxed constant would itself
+   be boxed, allocating on every register-operand step. *)
 let step t =
   if t.halted then ()
   else begin
@@ -300,44 +329,53 @@ let step t =
     Array.unsafe_set t.exec_counts pc (Array.unsafe_get t.exec_counts pc + 1);
     t.icount <- t.icount + 1;
     match instr with
-    | Isa.Op (op, ra, ob, rc) ->
-      let b = match ob with Isa.Reg r -> t.regs.(r) | Isa.Imm v -> v in
-      let v = eval_binop op pc t.regs.(ra) b in
-      if rc <> Isa.zero_reg then t.regs.(rc) <- v;
+    | Isa.Op (op, ra, Isa.Reg rb, rc) ->
+      let v = eval_binop op pc (reg_get t ra) (reg_get t rb) in
+      reg_set t rc v;
       t.pc <- pc + 1;
-      fire_hook t pc v 0L
+      fire t pc v 0L
+    | Isa.Op (op, ra, Isa.Imm b, rc) ->
+      let v = eval_binop op pc (reg_get t ra) b in
+      reg_set t rc v;
+      t.pc <- pc + 1;
+      fire t pc v 0L
     | Isa.Ldi (rd, v) ->
-      if rd <> Isa.zero_reg then t.regs.(rd) <- v;
+      reg_set t rd v;
       t.pc <- pc + 1;
-      fire_hook t pc v 0L
+      fire t pc v 0L
     | Isa.Ld (rd, rb, off) ->
-      let a = Int64.add t.regs.(rb) (Int64.of_int off) in
+      let a = Int64.add (reg_get t rb) (Int64.of_int off) in
       let v = Memory.read t.mem a in
-      if rd <> Isa.zero_reg then t.regs.(rd) <- v;
+      reg_set t rd v;
       t.pc <- pc + 1;
-      fire_hook t pc v a
+      fire t pc v a
     | Isa.St (ra, rb, off) ->
-      let a = Int64.add t.regs.(rb) (Int64.of_int off) in
-      let v = t.regs.(ra) in
+      let a = Int64.add (reg_get t rb) (Int64.of_int off) in
+      let v = reg_get t ra in
       Memory.write t.mem a v;
       t.pc <- pc + 1;
-      fire_hook t pc v a
+      fire t pc v a
     | Isa.Br (c, ra, target) ->
-      let taken = cond_holds c t.regs.(ra) in
-      t.pc <- (if taken then target else pc + 1);
-      fire_hook t pc (if taken then 1L else 0L) 0L
+      if cond_holds c (reg_get t ra) then begin
+        t.pc <- target;
+        fire t pc 1L 0L
+      end
+      else begin
+        t.pc <- pc + 1;
+        fire t pc 0L 0L
+      end
     | Isa.Jmp target ->
       t.pc <- target;
-      fire_hook t pc 0L 0L
+      fire t pc 0L 0L
     | Isa.Jsr target ->
       enter_proc t target;
-      fire_hook t pc 0L 0L
+      fire t pc 0L 0L
     | Isa.Jsr_ind r ->
-      let target = Int64.to_int t.regs.(r) in
+      let target = Int64.to_int (reg_get t r) in
       enter_proc t target;
-      fire_hook t pc 0L 0L
+      fire t pc 0L 0L
     | Isa.Ret ->
-      let v = t.regs.(Isa.v0) in
+      let v = reg_get t Isa.v0 in
       (match t.stack with
        | [] -> t.halted <- true
        | frame :: rest ->
@@ -348,13 +386,13 @@ let step t =
          t.stack <- rest;
          t.depth <- t.depth - 1;
          t.pc <- frame.return_pc);
-      fire_hook t pc v 0L
+      fire t pc v 0L
     | Isa.Halt ->
       t.halted <- true;
-      fire_hook t pc 0L 0L
+      fire t pc 0L 0L
     | Isa.Nop ->
       t.pc <- pc + 1;
-      fire_hook t pc 0L 0L
+      fire t pc 0L 0L
   end
 
 let m_runs = Obs.Metrics.counter "machine.runs"

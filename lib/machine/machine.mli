@@ -3,23 +3,35 @@
 
     Instrumentation model (mirroring what ATOM's analysis routines could
     observe on the Alpha):
-    - a per-PC {e after-execution} hook receiving the value the instruction
-      produced (ALU result, loaded word, or stored word) and, for memory
-      instructions, the effective address;
+    - a per-PC {e after-execution} observer, which reads the value the
+      instruction produced (ALU result, loaded word, or stored word) and,
+      for memory instructions, the effective address through {!value} and
+      {!addr};
     - a per-procedure {e entry} hook, fired when a call lands on the
       procedure, with the machine visible so argument registers can be read;
     - a per-procedure {e return} hook, fired at [Ret], with the value of
       [v0].
 
+    Values reach per-PC observers through a 16-byte cell per machine:
+    just before an instrumented instruction's observers fire, the machine
+    writes the value and address there, and {!value}/{!addr} read them
+    back unboxed. An observer is a [unit -> unit] closure
+    ({!add_observer}), so neither the call nor the hand-over allocates.
+    {!add_hook} is a boxing adapter over the same dispatch for observers
+    written as [value -> addr -> unit] functions; each event then boxes
+    both arguments.
+
     Subscription is {e additive}: every [add_*] call attaches one more
     observer to the point; observers at the same point fire in attach
-    order. A point with a single observer costs what the machine has
-    always paid (one load, one option test, one call); several observers
-    dispatch through a fan-out closure built at attach time that loops
-    over a flat array — still one load on the hot path, and never an
-    allocation while the machine runs.
+    order. A point with a single observer costs one load, one option
+    test and one call; several observers dispatch through a fan-out
+    closure built at attach time that loops over a flat array — still
+    one load on the hot path, and never an allocation while the machine
+    runs.
 
-    Uninstrumented execution pays only an array lookup per instruction. *)
+    Registers and memory pages are raw bytes, so uninstrumented
+    execution allocates nothing per instruction except call frames
+    ([Jsr]). *)
 
 type trap =
   | Div_by_zero of int  (** pc *)
@@ -33,9 +45,8 @@ val string_of_trap : trap -> string
 
 type t
 
-(** Per-PC hook: [f value addr]. [value] is the produced value (0 for
-    instructions that produce none), [addr] the effective address of a
-    load/store (0 otherwise). *)
+(** Per-PC hook for {!add_hook}: [f value addr], with {!value} and
+    {!addr} as arguments. *)
 type hook = int64 -> int64 -> unit
 
 (** Initial value of the stack pointer register on [create]/[reset];
@@ -75,8 +86,22 @@ val call_depth : t -> int
     site (context-sensitive profiling uses it). *)
 val caller_pc : t -> int option
 
-(** [add_hook t pc h] subscribes one more per-PC observer at [pc];
-    earlier observers keep firing (in attach order, before [h]). *)
+(** Inside a per-PC observer: the value the instruction produced (0 for
+    instructions that produce none; 1 or 0 for a taken or untaken branch).
+    Meaningless outside an observer. *)
+val value : t -> int64
+
+(** Inside a per-PC observer: the effective address of a load or store
+    (0 for other instructions). *)
+val addr : t -> int64
+
+(** [add_observer t pc f] subscribes one more per-PC observer at [pc];
+    earlier observers keep firing (in attach order, before [f]). [f]
+    reads the event through {!value} and {!addr}. *)
+val add_observer : t -> int -> (unit -> unit) -> unit
+
+(** [add_hook t pc h] is [add_observer t pc (fun () -> h (value t) (addr t))]:
+    the boxing form, for observers that want the pair as arguments. *)
 val add_hook : t -> int -> hook -> unit
 
 (** Remove {e every} observer at the pc. *)
@@ -88,11 +113,11 @@ val clear_all_hooks : t -> unit
 val hook_count : t -> int -> int
 
 (** Subscribe an entry observer on a procedure (additive, like
-    {!add_hook}). *)
+    {!add_observer}). *)
 val add_proc_entry_hook : t -> int -> (t -> unit) -> unit
 
 (** Hook invoked as [f machine return_value] whenever the given procedure
-    executes [Ret]. Additive, like {!add_hook}. *)
+    executes [Ret]. Additive, like {!add_observer}. *)
 val add_proc_return_hook : t -> int -> (t -> int64 -> unit) -> unit
 
 (** Everything one profiler subscribed during a {!with_attachment} frame,

@@ -1,8 +1,8 @@
 (** Sparse word-addressed 64-bit memory.
 
-    Backed by fixed-size pages allocated on first touch; unwritten words
-    read as zero. Addresses are word indices (the whole repository uses
-    word, not byte, addressing). *)
+    Backed by fixed-size pages of raw bytes, allocated on first write and
+    accessed unboxed; unwritten words read as zero. Addresses are word
+    indices (the whole repository uses word, not byte, addressing). *)
 
 type t
 

@@ -235,7 +235,8 @@ let simulate ?(selection = `All) ?fuel prog predictors =
   let pcs = Atom.select prog selection in
   List.iter
     (fun pc ->
-      Machine.add_hook machine pc (fun value _addr ->
+      Machine.add_observer machine pc (fun () ->
+          let value = Machine.value machine in
           incr events;
           for i = 0 to n - 1 do
             (match preds.(i).ppredict ~pc with

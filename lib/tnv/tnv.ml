@@ -67,11 +67,18 @@ let[@inline] hash_slot t v =
 
 (* First index cell, probing from [i], that either holds [v]'s slot or is
    empty (the insertion point on a miss). Terminates because the index is
-   never more than [cap <= mask/4 + 1] full. *)
-let rec probe_cell t v i =
-  let e = Array.unsafe_get t.index i in
-  if e = 0 || Int64.equal (Array.unsafe_get t.values (e - 1)) v then i
-  else probe_cell t v ((i + 1) land t.mask)
+   never more than [cap <= mask/4 + 1] full. A loop rather than a
+   recursive function, which could not be inlined and would take [v]
+   boxed. *)
+let[@inline] probe_cell t v i =
+  let i = ref i in
+  while
+    let e = Array.unsafe_get t.index !i in
+    e <> 0 && not (Int64.equal (Array.unsafe_get t.values (e - 1)) v)
+  do
+    i := (!i + 1) land t.mask
+  done;
+  !i
 
 let index_insert t s =
   let cell = probe_cell t t.values.(s) (hash_slot t t.values.(s)) in
@@ -165,7 +172,7 @@ let replace t victim v =
    can inline the hot path into callers. *)
 let evict t v =
   match t.pol with
-  | Lfu_clear -> () (* dropped; the periodic clear will make room *)
+  | Lfu_clear -> ()
   | Lfu -> replace t (index_of_min t (fun i -> t.counts.(i))) v
   | Lru -> replace t (index_of_min t (fun i -> t.stamps.(i))) v
 
@@ -209,7 +216,9 @@ let[@inline] add_mem t v =
         false
       end
       else begin
-        evict t v;
+        (* under [Lfu_clear] the value is dropped (the periodic clear will
+           make room) without the call, which would box [v] *)
+        (match t.pol with Lfu_clear -> () | Lfu | Lru -> evict t v);
         false
       end
     end

@@ -35,6 +35,30 @@ let current : (limits * float) option ref = ref None
 let level = Atomic.make 0
 let disk_bytes = Atomic.make 0
 
+(* The heap reading behind the watermark. [Gc.quick_stat]'s heap_words
+   is a sample the runtime refreshes at collections, so it goes stale on
+   a domain whose run allocates nothing — on a freshly spawned worker it
+   can read 0 however much that worker holds. [Gc.stat] is exact but
+   stops the world (over a millisecond per call), so exact readings are
+   rate-limited: one at the first poll after [arm], then one whenever
+   [exact_spacing] times the last reading's own cost has passed, which
+   keeps them under 1% of the governed run. In between, the check uses
+   the larger of the sample and the last exact reading. *)
+let exact_spacing = 100.
+let exact_words = Atomic.make 0
+let next_exact = Atomic.make 0. (* Unix time of the next exact reading *)
+
+let heap_words () =
+  let now = Unix.gettimeofday () in
+  if now >= Atomic.get next_exact then begin
+    let w = (Gc.stat ()).Gc.heap_words in
+    let cost = Unix.gettimeofday () -. now in
+    Atomic.set exact_words w;
+    Atomic.set next_exact (now +. (exact_spacing *. cost));
+    w
+  end
+  else max (Gc.quick_stat ()).Gc.heap_words (Atomic.get exact_words)
+
 type callback = {
   cb_id : int;
   cb_dom : int;
@@ -59,6 +83,8 @@ let arm limits =
   current := Some (limits, Unix.gettimeofday ());
   Atomic.set level 0;
   Atomic.set disk_bytes 0;
+  Atomic.set exact_words 0;
+  Atomic.set next_exact 0.;
   Atomic.set armed_flag true;
   Mutex.unlock mu
 
@@ -121,7 +147,9 @@ let deliver_here () =
 
 (* One degradation step: bump the level (saturating), tell the notifier,
    and push one major collection so shed precision can actually translate
-   into freed words before the next poll. *)
+   into freed words before the next poll. The collection refreshes
+   [Gc.quick_stat], so the last exact reading, taken before it, is
+   dropped. *)
 let step_degrade () =
   let stepped =
     Mutex.lock mu;
@@ -133,7 +161,8 @@ let step_degrade () =
   in
   if stepped then begin
     !notifier (Degrade_step (Atomic.get level));
-    Gc.full_major ()
+    Gc.full_major ();
+    Atomic.set exact_words 0
   end
 
 let check (limits, start) =
@@ -144,7 +173,7 @@ let check (limits, start) =
    | _ -> ());
   (match limits.max_heap_words with
    | Some m ->
-     let hw = (Gc.quick_stat ()).Gc.heap_words in
+     let hw = heap_words () in
      if hw > m then
        if limits.degrade then step_degrade ()
        else begin

@@ -36,7 +36,8 @@ type limits = {
       (** Wall-clock seconds from {!arm}; [poll] raises
           {!Deadline_exceeded} past it. *)
   max_heap_words : int option;
-      (** Heap watermark compared against [Gc.quick_stat ()].[heap_words]. *)
+      (** Heap watermark compared against the major heap's size in words
+          (see {!poll}). *)
   max_checkpoint_bytes : int option;
       (** Cumulative checkpoint payload bytes; {!charge_disk} raises
           {!Disk_over_budget} past it. *)
@@ -77,10 +78,15 @@ val disarm : unit -> unit
 val govern : limits -> (unit -> 'a) -> 'a
 
 (** The periodic check. Disarmed: one atomic load. Armed: compares the
-    wall clock and [Gc.quick_stat] heap words against the limits, raising
-    or stepping the degradation ladder as described above, and delivers
-    any pending {!on_degrade} callbacks registered by the calling
-    domain. *)
+    wall clock and the heap size against the limits, raising or stepping
+    the degradation ladder as described above, and delivers any pending
+    {!on_degrade} callbacks registered by the calling domain.
+
+    The heap size is exact ([Gc.stat]) at the first poll after {!arm}
+    and then at most once per 100 times that reading's cost; between
+    exact readings it is the larger of [Gc.quick_stat]'s sample and the
+    last exact reading. The sample alone would go stale on a domain
+    that allocates nothing between collections. *)
 val poll : unit -> unit
 
 (** Current degradation level, [0] (exact) to {!max_degrade_level}.

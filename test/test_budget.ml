@@ -80,6 +80,33 @@ let test_mem_pressure_raises_without_degrade () =
       | exception Budget.Mem_pressure words ->
         Alcotest.(check bool) "carries the observed heap" true (words > 0))
 
+let test_watermark_sees_worker_heap () =
+  (* [Gc.quick_stat]'s heap sample is refreshed by collections, which an
+     allocation-free machine loop never triggers: a watermark armed on a
+     worker domain must still see the heap that domain holds. The
+     watermark sits half the ballast above the heap measured just before
+     the spawn. *)
+  governed (fun () ->
+      let ballast_words = 1 lsl 20 in
+      let watermark = (Gc.stat ()).Gc.heap_words + (ballast_words / 2) in
+      let worker () =
+        let ballast = List.init 8 (fun _ -> Bytes.create ballast_words) in
+        let m = Machine.create (loop_program 400_000L) in
+        let tripped =
+          match
+            Budget.govern
+              { Budget.no_limits with max_heap_words = Some watermark }
+              (fun () -> Machine.run m)
+          with
+          | _ -> false
+          | exception Budget.Mem_pressure _ -> true
+        in
+        ignore (Sys.opaque_identity ballast);
+        tripped
+      in
+      Alcotest.(check bool) "the worker's heap trips the watermark" true
+        (Domain.join (Domain.spawn worker)))
+
 let test_degrade_ladder_saturates () =
   governed (fun () ->
       Budget.govern
@@ -163,4 +190,6 @@ let suite =
     Alcotest.test_case "on_degrade callbacks" `Quick test_on_degrade_callbacks;
     Alcotest.test_case "lazy callback delivery" `Quick
       test_callback_lazy_delivery;
-    Alcotest.test_case "elapsed" `Quick test_elapsed ]
+    Alcotest.test_case "elapsed" `Quick test_elapsed;
+    Alcotest.test_case "watermark sees a worker domain's heap" `Quick
+      test_watermark_sees_worker_heap ]
