@@ -24,14 +24,21 @@ let cache : (string * Workload.input, entry) Memo_cache.t =
 let entry (w : Workload.t) input =
   Memo_cache.find_or_compute cache (w.wname, input) (fun () ->
       let machine = Machine.create (w.wbuild input) in
-      let profile_live = Profile.attach machine `All in
-      let proc_live =
-        Procprof.attach ~config:(Registry.procs.config w) machine
+      let (profile_live, proc_live), observers =
+        Machine.with_attachment machine (fun () ->
+            ( Profile.attach machine `All,
+              Procprof.attach ~config:(Registry.procs.config w) machine ))
       in
       ignore (Machine.run machine);
-      { e_machine = machine;
-        e_profile = Profile.collect profile_live;
-        e_procprof = Procprof.collect proc_live })
+      let e =
+        { e_machine = machine;
+          e_profile = Profile.collect profile_live;
+          e_procprof = Procprof.collect proc_live }
+      in
+      (* the memoized machine would otherwise keep every point's live
+         profiling state reachable through its dispatch table *)
+      Machine.detach machine observers;
+      e)
 
 (* Cross-invocation profile reuse: with a store attached, a memo miss
    consults the store before executing the machine, and a computed

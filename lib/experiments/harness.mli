@@ -36,9 +36,9 @@ val set_store : Store.t option -> unit
 
 val store : unit -> Store.t option
 
-(** Memoized machine state after a full run. The machine carries the
-    profilers' hooks but identical architectural state (registers, memory,
-    counters) to an uninstrumented run. *)
+(** Memoized machine state after a full run: identical architectural
+    state (registers, memory, counters) to an uninstrumented run. The
+    profilers' observers are detached once their results are collected. *)
 val plain_run : Workload.t -> Workload.input -> Machine.t
 
 (** Memoized procedure profile (with the workload's declared arities). *)

@@ -36,28 +36,27 @@ let level = Atomic.make 0
 let disk_bytes = Atomic.make 0
 
 (* The heap reading behind the watermark. [Gc.quick_stat]'s heap_words
-   is a sample the runtime refreshes at collections, so it goes stale on
-   a domain whose run allocates nothing — on a freshly spawned worker it
-   can read 0 however much that worker holds. [Gc.stat] is exact but
-   stops the world (over a millisecond per call), so exact readings are
-   rate-limited: one at the first poll after [arm], then one whenever
-   [exact_spacing] times the last reading's own cost has passed, which
-   keeps them under 1% of the governed run. In between, the check uses
-   the larger of the sample and the last exact reading. *)
-let exact_spacing = 100.
-let exact_words = Atomic.make 0
-let next_exact = Atomic.make 0. (* Unix time of the next exact reading *)
+   is a sample the runtime takes at minor collections, so it goes stale
+   on a domain whose run allocates nothing on the minor heap — on a
+   freshly spawned worker it can read 0 however much that worker holds.
+   A forced minor collection refreshes the sample exactly (it then
+   agrees with [Gc.stat], which instead runs a full major collection).
+   Refreshes are rate-limited process-wide, across governed sections:
+   the first poll takes one, and later polls one whenever
+   [refresh_spacing] times the last refresh's own cost has passed, which
+   keeps them under 1% of the run time however many short sections are
+   armed in turn. *)
+let refresh_spacing = 100.
+let next_refresh = Atomic.make 0. (* Unix time of the next refresh *)
 
 let heap_words () =
   let now = Unix.gettimeofday () in
-  if now >= Atomic.get next_exact then begin
-    let w = (Gc.stat ()).Gc.heap_words in
+  if now >= Atomic.get next_refresh then begin
+    Gc.minor ();
     let cost = Unix.gettimeofday () -. now in
-    Atomic.set exact_words w;
-    Atomic.set next_exact (now +. (exact_spacing *. cost));
-    w
-  end
-  else max (Gc.quick_stat ()).Gc.heap_words (Atomic.get exact_words)
+    Atomic.set next_refresh (now +. (refresh_spacing *. cost))
+  end;
+  (Gc.quick_stat ()).Gc.heap_words
 
 type callback = {
   cb_id : int;
@@ -83,8 +82,6 @@ let arm limits =
   current := Some (limits, Unix.gettimeofday ());
   Atomic.set level 0;
   Atomic.set disk_bytes 0;
-  Atomic.set exact_words 0;
-  Atomic.set next_exact 0.;
   Atomic.set armed_flag true;
   Mutex.unlock mu
 
@@ -147,9 +144,7 @@ let deliver_here () =
 
 (* One degradation step: bump the level (saturating), tell the notifier,
    and push one major collection so shed precision can actually translate
-   into freed words before the next poll. The collection refreshes
-   [Gc.quick_stat], so the last exact reading, taken before it, is
-   dropped. *)
+   into freed words before the next poll. *)
 let step_degrade () =
   let stepped =
     Mutex.lock mu;
@@ -161,8 +156,7 @@ let step_degrade () =
   in
   if stepped then begin
     !notifier (Degrade_step (Atomic.get level));
-    Gc.full_major ();
-    Atomic.set exact_words 0
+    Gc.full_major ()
   end
 
 let check (limits, start) =
@@ -208,6 +202,7 @@ module Testing = struct
 
   let reset () =
     disarm ();
+    Atomic.set next_refresh 0.;
     Mutex.lock mu;
     callbacks := [];
     Mutex.unlock mu

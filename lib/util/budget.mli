@@ -82,11 +82,11 @@ val govern : limits -> (unit -> 'a) -> 'a
     the degradation ladder as described above, and delivers any pending
     {!on_degrade} callbacks registered by the calling domain.
 
-    The heap size is exact ([Gc.stat]) at the first poll after {!arm}
-    and then at most once per 100 times that reading's cost; between
-    exact readings it is the larger of [Gc.quick_stat]'s sample and the
-    last exact reading. The sample alone would go stale on a domain
-    that allocates nothing between collections. *)
+    The heap size is [Gc.quick_stat]'s sample, which the runtime takes
+    at minor collections. So that it cannot go stale on a domain that
+    allocates nothing, a poll forces a minor collection first: at the
+    process's first poll, then at most once per 100 times the last forced
+    collection's cost. *)
 val poll : unit -> unit
 
 (** Current degradation level, [0] (exact) to {!max_degrade_level}.
@@ -138,6 +138,7 @@ module Testing : sig
       breach does, minus the GC. *)
   val force_step : unit -> unit
 
-  (** Level to 0, callbacks cleared, disarmed. For test teardown. *)
+  (** Level to 0, callbacks cleared, disarmed, and the next poll free to
+      refresh the heap sample. For test set-up and teardown. *)
   val reset : unit -> unit
 end

@@ -85,8 +85,10 @@ let test_watermark_sees_worker_heap () =
      allocation-free machine loop never triggers: a watermark armed on a
      worker domain must still see the heap that domain holds. The
      watermark sits half the ballast above the heap measured just before
-     the spawn. *)
+     the spawn. The loop is short enough that the polls' own allocation
+     never fills the worker's minor heap. *)
   governed (fun () ->
+      Budget.Testing.reset ();
       let ballast_words = 1 lsl 20 in
       let watermark = (Gc.stat ()).Gc.heap_words + (ballast_words / 2) in
       let worker () =
