@@ -78,13 +78,13 @@ let build_proc_of (prog : Asm.program) =
 let load_data t =
   List.iter (fun (base, words) -> Memory.load_segment t.mem base words) t.prog.data
 
-let[@inline] reg_get t r = get64 t.regs (r lsl 3)
+let[@inline] reg t r = get64 t.regs (r lsl 3)
 
-let[@inline] reg_set t r v = if r <> Isa.zero_reg then set64 t.regs (r lsl 3) v
+let[@inline] set_reg t r v = if r <> Isa.zero_reg then set64 t.regs (r lsl 3) v
 
 let init_regs t =
   Bytes.fill t.regs 0 (Bytes.length t.regs) '\000';
-  reg_set t Isa.sp stack_base
+  set_reg t Isa.sp stack_base
 
 let create prog =
   let t =
@@ -123,8 +123,6 @@ let reset t =
   t.depth <- 0
 
 let program t = t.prog
-let reg = reg_get
-let set_reg = reg_set
 
 let memory t = t.mem
 let pc t = t.pc
@@ -330,33 +328,33 @@ let step t =
     t.icount <- t.icount + 1;
     match instr with
     | Isa.Op (op, ra, Isa.Reg rb, rc) ->
-      let v = eval_binop op pc (reg_get t ra) (reg_get t rb) in
-      reg_set t rc v;
+      let v = eval_binop op pc (reg t ra) (reg t rb) in
+      set_reg t rc v;
       t.pc <- pc + 1;
       fire t pc v 0L
     | Isa.Op (op, ra, Isa.Imm b, rc) ->
-      let v = eval_binop op pc (reg_get t ra) b in
-      reg_set t rc v;
+      let v = eval_binop op pc (reg t ra) b in
+      set_reg t rc v;
       t.pc <- pc + 1;
       fire t pc v 0L
     | Isa.Ldi (rd, v) ->
-      reg_set t rd v;
+      set_reg t rd v;
       t.pc <- pc + 1;
       fire t pc v 0L
     | Isa.Ld (rd, rb, off) ->
-      let a = Int64.add (reg_get t rb) (Int64.of_int off) in
+      let a = Int64.add (reg t rb) (Int64.of_int off) in
       let v = Memory.read t.mem a in
-      reg_set t rd v;
+      set_reg t rd v;
       t.pc <- pc + 1;
       fire t pc v a
     | Isa.St (ra, rb, off) ->
-      let a = Int64.add (reg_get t rb) (Int64.of_int off) in
-      let v = reg_get t ra in
+      let a = Int64.add (reg t rb) (Int64.of_int off) in
+      let v = reg t ra in
       Memory.write t.mem a v;
       t.pc <- pc + 1;
       fire t pc v a
     | Isa.Br (c, ra, target) ->
-      if cond_holds c (reg_get t ra) then begin
+      if cond_holds c (reg t ra) then begin
         t.pc <- target;
         fire t pc 1L 0L
       end
@@ -371,11 +369,11 @@ let step t =
       enter_proc t target;
       fire t pc 0L 0L
     | Isa.Jsr_ind r ->
-      let target = Int64.to_int (reg_get t r) in
+      let target = Int64.to_int (reg t r) in
       enter_proc t target;
       fire t pc 0L 0L
     | Isa.Ret ->
-      let v = reg_get t Isa.v0 in
+      let v = reg t Isa.v0 in
       (match t.stack with
        | [] -> t.halted <- true
        | frame :: rest ->

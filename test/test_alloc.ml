@@ -78,12 +78,8 @@ let check_ceiling what ceiling words =
     Alcotest.failf "%s: %.3f minor words/step, ceiling %.2f" what words ceiling
 
 let test_bare_run () =
-  let progs = train () in
-  let w0 = Gc.minor_words () in
-  let steps =
-    List.fold_left (fun acc p -> acc + Machine.run (Machine.create p)) 0 progs
-  in
-  check_ceiling "Machine.run" 0.3 ((Gc.minor_words () -. w0) /. float steps)
+  check_ceiling "Machine.run" 0.3
+    (run_words (fun p -> Machine.run (Machine.create p)))
 
 let test_full_profile () =
   check_ceiling "Profile.run ~selection:`All" 1.0
