@@ -19,7 +19,7 @@ let max_call_depth = 100_000
 
 (* Registers, memory pages and the value cell are raw bytes accessed
    through the bounds-checked native-endian primitives, so a word moves
-   between them unboxed; an [int64 array] boxed every register write. *)
+   between them without being boxed. *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 

@@ -5,7 +5,7 @@ let page_bytes = page_words * 8
 
 (* Pages are raw bytes read and written through the bounds-checked
    native-endian primitives, so a word moves between memory and a
-   register unboxed: an [int64 array] page boxed every stored word. *)
+   register without being boxed. *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
