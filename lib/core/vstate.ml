@@ -9,23 +9,30 @@ let default_config =
   { tnv_capacity = 8; tnv_policy = Tnv.Lfu_clear; clear_interval = 2000;
     distinct_cap = 1024 }
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
 (* Growable open-addressing int64 set for the distinct-value count.
    [Hashtbl] costs a [caml_hash] C call per probe, which showed up as one
    of the larger per-event costs for high-entropy points; this probes with
-   the same multiplicative hash as the TNV index. [present] marks occupied
-   cells so 0L is an ordinary member. Load is kept at or under 1/2. *)
+   the same multiplicative hash as the TNV index. [values] holds cell [i]
+   at byte [8 * i], so an insertion stores the value without boxing it;
+   [present] marks occupied cells so 0L is an ordinary member. Load is
+   kept at or under 1/2. Most points see a handful of distinct values, so
+   the set starts small. *)
 module Distinct = struct
   type t = {
-    mutable values : int64 array;
+    mutable values : Bytes.t;
     mutable present : Bytes.t;
     mutable mask : int;
     mutable count : int;
   }
 
-  let initial_size = 16
+  let initial_size = 4
 
   let create () =
-    { values = Array.make initial_size 0L;
+    { values = Bytes.make (8 * initial_size) '\000';
       present = Bytes.make initial_size '\000';
       mask = initial_size - 1;
       count = 0 }
@@ -40,7 +47,7 @@ module Distinct = struct
     let i = ref i in
     while
       Bytes.unsafe_get t.present !i <> '\000'
-      && not (Int64.equal (Array.unsafe_get t.values !i) v)
+      && not (Int64.equal (get64u t.values (8 * !i)) v)
     do
       i := (!i + 1) land t.mask
     done;
@@ -51,14 +58,14 @@ module Distinct = struct
   let grow t =
     let old_values = t.values and old_present = t.present in
     let size = 2 * (t.mask + 1) in
-    t.values <- Array.make size 0L;
+    t.values <- Bytes.make (8 * size) '\000';
     t.present <- Bytes.make size '\000';
     t.mask <- size - 1;
-    for i = 0 to Array.length old_values - 1 do
+    for i = 0 to Bytes.length old_present - 1 do
       if Bytes.get old_present i <> '\000' then begin
-        let v = old_values.(i) in
+        let v = get64 old_values (8 * i) in
         let j = probe t v (hash t v) in
-        t.values.(j) <- v;
+        set64 t.values (8 * j) v;
         Bytes.set t.present j '\001'
       end
     done
@@ -68,7 +75,7 @@ module Distinct = struct
     let i = probe t v (hash t v) in
     if Bytes.unsafe_get t.present i <> '\000' then false
     else begin
-      t.values.(i) <- v;
+      set64 t.values (8 * i) v;
       Bytes.set t.present i '\001';
       t.count <- t.count + 1;
       if 2 * t.count > t.mask then grow t;
@@ -80,21 +87,18 @@ module Distinct = struct
 
   let iter t f =
     for i = 0 to t.mask do
-      if Bytes.get t.present i <> '\000' then f t.values.(i)
+      if Bytes.get t.present i <> '\000' then f (get64 t.values (8 * i))
     done
 
   let reset t =
     if t.mask + 1 > initial_size then begin
-      t.values <- Array.make initial_size 0L;
+      t.values <- Bytes.make (8 * initial_size) '\000';
       t.present <- Bytes.make initial_size '\000';
       t.mask <- initial_size - 1
     end
     else Bytes.fill t.present 0 (t.mask + 1) '\000';
     t.count <- 0
 end
-
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 type t = {
   tnv : Tnv.t;

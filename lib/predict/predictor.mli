@@ -9,7 +9,23 @@
     accuracy and table utilization (Gabbay [18]).
 
     Predictors are first-class values with mutable internal state; create a
-    fresh one per simulation. *)
+    fresh one per simulation.
+
+    Internally a model speaks a cell protocol, so that the per-event path
+    allocates nothing: values travel in 8-byte [Bytes] cells, read and
+    written with [%caml_bytes_get64]/[%caml_bytes_set64], never as boxed
+    [int64]s or options. A model can {e guess} into a cell (returning
+    whether it is confident), {e train} from a cell holding the outcome,
+    and {e step} — guess, then train, in one call that reports none /
+    wrong / right. {!simulate} drives every model through [step], so a
+    {!hybrid} asks each component once per event. Table state lives in
+    parallel [int array]/[Bytes] slots, and per-pc state in pc-indexed
+    arrays that grow by doubling. {!predict} and {!update} are boxing
+    conveniences over the same protocol: each call builds an option or
+    takes a boxed [int64].
+
+    Every model requires [pc >= 0]: {!predict} and {!update} raise
+    [Invalid_argument] on a negative pc. *)
 
 type t
 

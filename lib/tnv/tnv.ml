@@ -1,24 +1,35 @@
 type policy = Lfu_clear | Lfu | Lru
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
 (* The table proper is the parallel [values]/[counts]/[stamps] arrays, as
-   in the paper. The [index] array is a small open-addressing (linear
-   probing) value->slot map over the occupied slots, sized to a power of
-   two at least 4x the capacity so probe chains stay short; cell [0] means
-   empty, [s + 1] means slot [s]. It exists purely so the per-event hit
-   path is one hash and (almost always) one compare instead of an
-   O(capacity) scan, and it is rebuilt wholesale on the rare mutations
-   (replacement, periodic clear, reset) — capacity is tiny, so a rebuild
-   is a few dozen cache-resident writes. *)
+   in the paper. [values] is a [Bytes] holding slot [s]'s value at byte
+   [8 * s], so storing a value never boxes it; [stamps] is allocated only
+   under [Lru], the one policy that reads it (empty otherwise). The
+   [index] is a small open-addressing (linear probing) value->slot map
+   over the occupied slots, sized to a power of two at least 4x the
+   capacity so probe chains stay short; cell [0] means empty, [s + 1]
+   means slot [s]. It exists purely so the per-event hit path is one hash
+   and (almost always) one compare instead of an O(capacity) scan, and it
+   is rebuilt wholesale on the rare mutations (replacement, periodic
+   clear, reset) — capacity is tiny, so a rebuild is a few dozen
+   cache-resident writes. Its cells are 4 bytes, not a word: a profile
+   holds one table pair per point, and the index is most of a table's
+   footprint. *)
 type t = {
   pol : policy;
   cap : int;
   interval : int;
-  values : int64 array;
+  values : Bytes.t; (* 8 bytes per slot *)
   counts : int array; (* count 0 = empty slot *)
-  stamps : int array; (* last-touch tick, for LRU *)
-  index : int array;
-  mask : int; (* Array.length index - 1; the length is a power of two *)
-  kept : bool array; (* scratch for periodic_clear, reused across clears *)
+  stamps : int array; (* last-touch tick; [Lru] only, empty otherwise *)
+  index : Bytes.t; (* 4 bytes per cell *)
+  mask : int; (* cells - 1; the cell count is a power of two *)
+  kept : Bytes.t; (* scratch for periodic_clear, reused across clears *)
   mutable last_slot : int; (* slot of the last added value; -1 = unknown *)
   mutable occupied : int;
   mutable total : int; (* doubles as the recency tick for [stamps] *)
@@ -43,12 +54,15 @@ let create ?(policy = Lfu_clear) ?(clear_interval = 2000) ~capacity () =
   if clear_interval <= 0 then invalid_arg "Tnv.create: clear_interval must be positive";
   let isize = index_size capacity in
   { pol = policy; cap = capacity; interval = clear_interval;
-    values = Array.make capacity 0L;
+    values = Bytes.make (8 * capacity) '\000';
     counts = Array.make capacity 0;
-    stamps = Array.make capacity 0;
-    index = Array.make isize 0;
+    stamps =
+      (match policy with
+       | Lru -> Array.make capacity 0
+       | Lfu_clear | Lfu -> [||]);
+    index = Bytes.make (4 * isize) '\000';
     mask = isize - 1;
-    kept = Array.make capacity false;
+    kept = Bytes.make capacity '\000';
     last_slot = -1;
     occupied = 0; total = 0; since_clear = 0;
     clears = 0; replacements = 0;
@@ -59,6 +73,10 @@ let capacity t = t.cap
 let clear_interval t = t.interval
 let clears t = t.clears
 let replacements t = t.replacements
+
+(* Index cell [i]: 0 = empty, [s + 1] = slot [s]. [i] is always masked. *)
+let[@inline] cell t i = Int32.to_int (get32u t.index (4 * i))
+let[@inline] set_cell t i e = set32u t.index (4 * i) (Int32.of_int e)
 
 (* Fibonacci (multiplicative) hashing; the constant is 2^64 / phi. *)
 let[@inline] hash_slot t v =
@@ -73,19 +91,19 @@ let[@inline] hash_slot t v =
 let[@inline] probe_cell t v i =
   let i = ref i in
   while
-    let e = Array.unsafe_get t.index !i in
-    e <> 0 && not (Int64.equal (Array.unsafe_get t.values (e - 1)) v)
+    let e = cell t !i in
+    e <> 0 && not (Int64.equal (get64u t.values (8 * (e - 1))) v)
   do
     i := (!i + 1) land t.mask
   done;
   !i
 
 let index_insert t s =
-  let cell = probe_cell t t.values.(s) (hash_slot t t.values.(s)) in
-  t.index.(cell) <- s + 1
+  let v = get64 t.values (8 * s) in
+  set_cell t (probe_cell t v (hash_slot t v)) (s + 1)
 
 let rebuild_index t =
-  Array.fill t.index 0 (Array.length t.index) 0;
+  Bytes.fill t.index 0 (Bytes.length t.index) '\000';
   for s = 0 to t.cap - 1 do
     if t.counts.(s) > 0 then index_insert t s
   done
@@ -119,6 +137,8 @@ let apply_degrade t =
 let m_clears = Obs.Metrics.counter "tnv.clears"
 let m_evictions = Obs.Metrics.counter "tnv.evictions"
 
+let[@inline] kept t i = Bytes.get t.kept i <> '\000'
+
 let periodic_clear t =
   apply_degrade t;
   t.clears <- t.clears + 1;
@@ -126,20 +146,19 @@ let periodic_clear t =
   Obs.Trace.instant ~cat:"tnv" "tnv.clear";
   t.last_slot <- -1;
   let k = steady t in
-  Array.fill t.kept 0 t.cap false;
+  Bytes.fill t.kept 0 t.cap '\000';
   for _ = 1 to k do
     let best = ref 0 in
-    while t.kept.(!best) do incr best done;
+    while kept t !best do incr best done;
     for i = !best + 1 to t.cap - 1 do
-      if (not t.kept.(i)) && t.counts.(i) > t.counts.(!best) then best := i
+      if (not (kept t i)) && t.counts.(i) > t.counts.(!best) then best := i
     done;
-    t.kept.(!best) <- true
+    Bytes.set t.kept !best '\001'
   done;
   for i = 0 to t.cap - 1 do
-    if (not t.kept.(i)) && t.counts.(i) > 0 then begin
+    if (not (kept t i)) && t.counts.(i) > 0 then begin
       t.counts.(i) <- 0;
-      t.values.(i) <- 0L;
-      t.stamps.(i) <- 0;
+      set64 t.values (8 * i) 0L;
       t.occupied <- t.occupied - 1
     end
   done;
@@ -151,30 +170,30 @@ let find_empty t =
   in
   loop 0
 
-let index_of_min t key =
+(* The first slot with the smallest entry of [key]. *)
+let index_of_min key =
   let best = ref 0 in
-  for i = 1 to t.cap - 1 do
-    if key i < key !best then best := i
+  for i = 1 to Array.length key - 1 do
+    if Array.unsafe_get key i < Array.unsafe_get key !best then best := i
   done;
   !best
 
-let replace t victim v =
+(* The victim of a full-table miss: the least-counted slot under [Lfu],
+   the least-recently-touched one under [Lru]. Takes no value, so the
+   out-of-line call from [add_mem] passes nothing boxed; the caller writes
+   the new value into the slot and then calls {!replaced}. *)
+let victim t =
+  match t.pol with
+  | Lru -> index_of_min t.stamps
+  | Lfu_clear | Lfu -> index_of_min t.counts
+
+let replaced t s =
   t.replacements <- t.replacements + 1;
   Obs.Metrics.incr m_evictions;
-  t.values.(victim) <- v;
-  t.counts.(victim) <- 1;
-  t.stamps.(victim) <- t.total;
-  t.last_slot <- victim;
+  t.counts.(s) <- 1;
+  (match t.pol with Lru -> t.stamps.(s) <- t.total | Lfu_clear | Lfu -> ());
+  t.last_slot <- s;
   rebuild_index t
-
-(* The full-table miss under the eviction policies. Kept out of [add_mem]
-   (in particular, no anonymous closures there) so the non-flambda inliner
-   can inline the hot path into callers. *)
-let evict t v =
-  match t.pol with
-  | Lfu_clear -> ()
-  | Lfu -> replace t (index_of_min t (fun i -> t.counts.(i))) v
-  | Lru -> replace t (index_of_min t (fun i -> t.stamps.(i))) v
 
 (* [stamps] only drives {!Lru} victim selection, so the hit paths below
    touch that array (an extra cache line per event) only under [Lru]. *)
@@ -183,7 +202,7 @@ let[@inline] add_mem t v =
   t.total <- t.total + 1;
   let hit =
     let ls = t.last_slot in
-    if ls >= 0 && Int64.equal (Array.unsafe_get t.values ls) v then begin
+    if ls >= 0 && Int64.equal (get64u t.values (8 * ls)) v then begin
       (* the dominant case value profiling banks on: the value repeats, and
          the slot is already known — no hash, no probe *)
       Array.unsafe_set t.counts ls (Array.unsafe_get t.counts ls + 1);
@@ -193,8 +212,8 @@ let[@inline] add_mem t v =
       true
     end
     else begin
-      let cell = probe_cell t v (hash_slot t v) in
-      let e = Array.unsafe_get t.index cell in
+      let i = probe_cell t v (hash_slot t v) in
+      let e = cell t i in
       if e <> 0 then begin
         (* index hit: one hash, one (usually first-probe) compare *)
         let s = e - 1 in
@@ -207,18 +226,25 @@ let[@inline] add_mem t v =
       end
       else if t.occupied < t.live_cap then begin
         let empty = find_empty t in
-        t.values.(empty) <- v;
+        set64 t.values (8 * empty) v;
         t.counts.(empty) <- 1;
-        t.stamps.(empty) <- t.total;
+        (match t.pol with
+         | Lru -> t.stamps.(empty) <- t.total
+         | Lfu_clear | Lfu -> ());
         t.occupied <- t.occupied + 1;
-        t.index.(cell) <- empty + 1;
+        set_cell t i (empty + 1);
         t.last_slot <- empty;
         false
       end
       else begin
-        (* under [Lfu_clear] the value is dropped (the periodic clear will
-           make room) without the call, which would box [v] *)
-        (match t.pol with Lfu_clear -> () | Lfu | Lru -> evict t v);
+        (* under [Lfu_clear] the value is dropped: the periodic clear will
+           make room *)
+        (match t.pol with
+         | Lfu_clear -> ()
+         | Lfu | Lru ->
+           let s = victim t in
+           set64 t.values (8 * s) v;
+           replaced t s);
         false
       end
     end
@@ -242,7 +268,8 @@ let covered t = Array.fold_left ( + ) 0 t.counts
 let entries t =
   let occupied = ref [] in
   for i = t.cap - 1 downto 0 do
-    if t.counts.(i) > 0 then occupied := (t.values.(i), t.counts.(i)) :: !occupied
+    if t.counts.(i) > 0 then
+      occupied := (get64 t.values (8 * i), t.counts.(i)) :: !occupied
   done;
   let arr = Array.of_list !occupied in
   (* (count desc, value asc): Array.sort is unstable, so a count-only
@@ -303,7 +330,7 @@ let merge a b =
   let t = create ~policy:a.pol ~clear_interval:a.interval ~capacity:cap () in
   Array.iteri
     (fun s (v, c) ->
-      t.values.(s) <- v;
+      set64 t.values (8 * s) v;
       t.counts.(s) <- c)
     union;
   t.occupied <- Array.length union;
@@ -314,10 +341,10 @@ let merge a b =
   t
 
 let reset t =
-  Array.fill t.values 0 t.cap 0L;
+  Bytes.fill t.values 0 (8 * t.cap) '\000';
   Array.fill t.counts 0 t.cap 0;
-  Array.fill t.stamps 0 t.cap 0;
-  Array.fill t.index 0 (Array.length t.index) 0;
+  Array.fill t.stamps 0 (Array.length t.stamps) 0;
+  Bytes.fill t.index 0 (Bytes.length t.index) '\000';
   t.last_slot <- -1;
   t.occupied <- 0;
   t.total <- 0;

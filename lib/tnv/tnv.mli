@@ -15,11 +15,12 @@
     metrics are conservative.
 
     {!add} is the profiler's per-event hot path and is engineered to be
-    allocation-free: a small open-addressing value->slot index makes the
-    hit path one multiplicative hash plus (usually) one compare, and the
-    periodic clear selects the surviving top half in place instead of
-    sorting a freshly allocated permutation. Ties on count during a clear
-    keep the lowest-numbered slot. *)
+    allocation-free under every policy, evictions included: a small
+    open-addressing value->slot index makes the hit path one
+    multiplicative hash plus (usually) one compare, values are stored
+    unboxed, and the periodic clear selects the surviving top half in
+    place instead of sorting a freshly allocated permutation. Ties on
+    count during a clear keep the lowest-numbered slot. *)
 
 type policy =
   | Lfu_clear  (** the paper's policy: LFU with periodic clearing *)

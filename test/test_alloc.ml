@@ -1,9 +1,9 @@
 (* The allocation gate: minor words allocated on the per-event path,
    counted with [Gc.minor_words], so the figures are deterministic.
    Stepping the common instructions allocates nothing, with or without
-   an observer; whole runs of the 12 train programs stay under a
-   per-step ceiling (the remainder is [Jsr] call frames, and TNV/distinct
-   insertions of new values). *)
+   an observer, and so does a TNV miss that evicts; whole runs of the
+   12 programs stay under a per-step ceiling (the remainder is [Jsr] call
+   frames, and growth of the distinct sets and per-pc predictor tables). *)
 
 open Isa
 
@@ -62,13 +62,33 @@ let step_case (name, prog) =
       Alcotest.(check (float 0.)) "bare" 0. (words_per_step ~observed:false prog);
       Alcotest.(check (float 0.)) "observed" 0. (words_per_step ~observed:true prog))
 
-let train () =
-  List.map (fun (w : Workload.t) -> w.wbuild Workload.Train) Workloads.all
+(* Every add misses a full table, so each one evicts. *)
+let test_eviction policy () =
+  let cap = 8 and n = 10_000 in
+  let t = Tnv.create ~policy ~capacity:cap () in
+  for i = 1 to cap do
+    Tnv.add t (Int64.of_int i)
+  done;
+  let w0 = Gc.minor_words () in
+  for i = cap + 1 to cap + n do
+    Tnv.add t (Int64.of_int i)
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "every add evicts" n (Tnv.replacements t);
+  Alcotest.(check (float 0.)) "words per miss" 0. ((w1 -. w0) /. float n)
+
+let test_vstate_footprint () =
+  let words = Obj.reachable_words (Obj.repr (Vstate.create ())) in
+  if words > 143 then
+    Alcotest.failf "fresh Vstate.t: %d words, ceiling 143" words
+
+let programs input =
+  List.map (fun (w : Workload.t) -> w.wbuild input) Workloads.all
 
 (* Minor words per machine step over the train programs; [f] runs one
    program and returns its step count. *)
 let run_words f =
-  let progs = train () in
+  let progs = programs Workload.Train in
   let w0 = Gc.minor_words () in
   let steps = List.fold_left (fun acc p -> acc + f p) 0 progs in
   (Gc.minor_words () -. w0) /. float steps
@@ -86,8 +106,26 @@ let test_full_profile () =
     (run_words (fun p ->
          (Profile.run ~selection:`All p).Profile.dynamic_instructions))
 
+(* Over the test programs, as E11 runs them. *)
+let test_prediction () =
+  let progs = programs Workload.Test in
+  let steps =
+    List.fold_left (fun acc p -> acc + Machine.run (Machine.create p)) 0 progs
+  in
+  let w0 = Gc.minor_words () in
+  List.iter
+    (fun p ->
+      ignore (Predictor.simulate p (E11_prediction.standard_predictors ())))
+    progs;
+  check_ceiling "Predictor.simulate, E11 predictors" 0.25
+    ((Gc.minor_words () -. w0) /. float steps)
+
 let suite =
   List.map step_case cases
-  @ [ Alcotest.test_case "bare Machine.run over train" `Quick test_bare_run;
+  @ [ Alcotest.test_case "tnv eviction lfu" `Quick (test_eviction Tnv.Lfu);
+      Alcotest.test_case "tnv eviction lru" `Quick (test_eviction Tnv.Lru);
+      Alcotest.test_case "fresh Vstate footprint" `Quick test_vstate_footprint;
+      Alcotest.test_case "bare Machine.run over train" `Quick test_bare_run;
       Alcotest.test_case "Profile.run ~selection:`All over train" `Quick
-        test_full_profile ]
+        test_full_profile;
+      Alcotest.test_case "Predictor.simulate over test" `Quick test_prediction ]
