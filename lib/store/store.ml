@@ -68,8 +68,11 @@ end
 
 type backend = Memory | Dir of string
 
+(* [e_crc = Crc32.string e_payload] always: each payload is hashed once,
+   when it enters memory, and [persist] writes the cached checksum. *)
 type entry = {
   mutable e_payload : string;
+  mutable e_crc : int;
   mutable e_gen : int;
   (* some on-disk copy of this entry is missing or corrupt; the next
      [get] heals it (read-repair), as do [repair] and recovery *)
@@ -209,8 +212,7 @@ let done_line key ~gen ~bytes ~crc =
        (Crc32.to_hex crc))
 
 let entry_line key (e : entry) =
-  done_line key ~gen:e.e_gen ~bytes:(String.length e.e_payload)
-    ~crc:(Crc32.string e.e_payload)
+  done_line key ~gen:e.e_gen ~bytes:(String.length e.e_payload) ~crc:e.e_crc
 
 let gen_line g = checked_line (Printf.sprintf "gen %d" g)
 let replicas_line m = checked_line (Printf.sprintf "replicas %d" m)
@@ -335,7 +337,8 @@ let parse_entry t line =
          match scan 0 with
          | Some (i, payload) ->
            Hashtbl.replace t.s_table key
-             { e_payload = payload; e_gen = gen; e_degraded = i > 0 };
+             { e_payload = payload; e_crc = pcrc; e_gen = gen;
+               e_degraded = i > 0 };
            t.s_order <- key :: t.s_order
          | None ->
            t.s_lost <-
@@ -367,7 +370,9 @@ let load t =
 (* Atomic commits that died between temp-file creation and [rename] leave
    a [*.tmp] behind; swept on open so they cannot accumulate forever. *)
 let sweep_orphans dir =
-  let sweep_tree d =
+  (* one [readdir] per tree: the primary's listing also names the
+     replica trees to descend into *)
+  let rec sweep_tree ~top d =
     match Sys.readdir d with
     | exception Sys_error _ -> ()
     | names ->
@@ -376,21 +381,15 @@ let sweep_orphans dir =
           if Filename.check_suffix n ".tmp" then begin
             (try Sys.remove (Filename.concat d n) with Sys_error _ -> ());
             Obs.Metrics.incr m_orphans_swept
+          end;
+          if top && String.length n > 7 && String.sub n 0 7 = "replica" then begin
+            let p = Filename.concat d n in
+            if (try Sys.is_directory p with Sys_error _ -> false) then
+              sweep_tree ~top:false p
           end)
         names
   in
-  sweep_tree dir;
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | names ->
-    Array.iter
-      (fun n ->
-        if String.length n > 7 && String.sub n 0 7 = "replica" then begin
-          let p = Filename.concat dir n in
-          if (try Sys.is_directory p with Sys_error _ -> false) then
-            sweep_tree p
-        end)
-      names
+  sweep_tree ~top:true dir
 
 (* --- crash recovery --- *)
 
@@ -425,11 +424,13 @@ let recover t =
                (match Hashtbl.find_opt t.s_table key with
                 | Some e ->
                   e.e_payload <- payload;
+                  e.e_crc <- crc;
                   e.e_gen <- gen;
                   e.e_degraded <- false
                 | None ->
                   Hashtbl.replace t.s_table key
-                    { e_payload = payload; e_gen = gen; e_degraded = false };
+                    { e_payload = payload; e_crc = crc; e_gen = gen;
+                      e_degraded = false };
                   t.s_order <- key :: t.s_order);
                drop_lost t key;
                Obs.Metrics.incr m_recovered
@@ -567,6 +568,7 @@ let put t ~key ~payload =
       Obs.Trace.with_span ~cat:"store" "store.commit" @@ fun () ->
       Fault.point ~site:"store.commit";
       Obs.Metrics.add m_bytes_written (String.length payload);
+      let crc = Crc32.string payload in
       (match t.s_backend with
        | Memory -> ()
        | Dir dir ->
@@ -577,8 +579,7 @@ let put t ~key ~payload =
             rolled back on the next open from the journal record *)
          Journal.append_intent ~dir
            (Journal.Put
-              { key; gen = t.s_gen; bytes = String.length payload;
-                crc = Crc32.string payload });
+              { key; gen = t.s_gen; bytes = String.length payload; crc });
          for i = 0 to t.s_copies - 1 do
            Fault.point ~site:"store.payload.write";
            let d = copy_dir dir i in
@@ -587,7 +588,8 @@ let put t ~key ~payload =
          done);
       if not (Hashtbl.mem t.s_table key) then t.s_order <- key :: t.s_order;
       Hashtbl.replace t.s_table key
-        { e_payload = payload; e_gen = t.s_gen; e_degraded = false };
+        { e_payload = payload; e_crc = crc; e_gen = t.s_gen;
+          e_degraded = false };
       drop_lost t key;
       persist t;
       match t.s_backend with
@@ -826,6 +828,7 @@ let recover_from_mirror t ~program ~key =
            | None -> None
            | Some (bytes, p) ->
              e.e_payload <- bytes;
+             e.e_crc <- Crc32.string bytes;
              e.e_degraded <- false;
              ignore (heal_copies dir key bytes t.s_copies);
              persist t;

@@ -1,4 +1,5 @@
-(** CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven.
+(** CRC-32 (IEEE 802.3, the zlib/PNG polynomial), slicing-by-8: eight
+    bytes per step through eight lookup tables, unboxed and allocation-free.
 
     Profile files and checkpoint manifests carry a trailing checksum so a
     truncated or torn write is {e detected} instead of silently parsing as

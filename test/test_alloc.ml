@@ -1,9 +1,10 @@
 (* The allocation gate: minor words allocated on the per-event path,
    counted with [Gc.minor_words], so the figures are deterministic.
    Stepping the common instructions allocates nothing, with or without
-   an observer, and so does a TNV miss that evicts; whole runs of the
-   12 programs stay under a per-step ceiling (the remainder is [Jsr] call
-   frames, and growth of the distinct sets and per-pc predictor tables). *)
+   an observer, and neither does a TNV miss that evicts or a CRC-32 over
+   a store payload; whole runs of the 12 programs stay under a per-step
+   ceiling (the remainder is [Jsr] call frames, and growth of the
+   distinct sets and per-pc predictor tables). *)
 
 open Isa
 
@@ -82,6 +83,14 @@ let test_vstate_footprint () =
   if words > 143 then
     Alcotest.failf "fresh Vstate.t: %d words, ceiling 143" words
 
+let test_crc32 () =
+  let s = String.init 65536 (fun i -> Char.chr (i land 0xFF)) in
+  let w0 = Gc.minor_words () in
+  let c = Crc32.string s in
+  let w1 = Gc.minor_words () in
+  ignore (Sys.opaque_identity c);
+  Alcotest.(check (float 0.)) "words per 64 KB checksum" 0. (w1 -. w0)
+
 let programs input =
   List.map (fun (w : Workload.t) -> w.wbuild input) Workloads.all
 
@@ -125,6 +134,7 @@ let suite =
   @ [ Alcotest.test_case "tnv eviction lfu" `Quick (test_eviction Tnv.Lfu);
       Alcotest.test_case "tnv eviction lru" `Quick (test_eviction Tnv.Lru);
       Alcotest.test_case "fresh Vstate footprint" `Quick test_vstate_footprint;
+      Alcotest.test_case "Crc32.string over 64 KB" `Quick test_crc32;
       Alcotest.test_case "bare Machine.run over train" `Quick test_bare_run;
       Alcotest.test_case "Profile.run ~selection:`All over train" `Quick
         test_full_profile;

@@ -1,6 +1,7 @@
 (* The profile store: fingerprint keys, both backends' get/put/reload
-   behavior, checksum distrust, generations + gc, and the profile-entry
-   layer (v3 bytes under Profile.merge semantics). *)
+   behavior, checksum distrust, generations + gc, the profile-entry
+   layer (v3 bytes under Profile.merge semantics), and the cached payload
+   checksums every manifest rewrite relies on. *)
 
 let temp_dir () =
   let path = Filename.temp_file "vprof_store" "" in
@@ -28,6 +29,12 @@ let fp ?fuel ?(shards = 1) ?(config = "") ?(workload = "go") () =
 let program () =
   let w = Workloads.find "go" in
   w.Workload.wbuild Workload.Test
+
+(* A program the pcs of [program ()]'s profiles cannot validate against. *)
+let tiny_program () =
+  let b = Asm.create () in
+  Asm.proc b "main" (fun b -> Asm.halt b);
+  Asm.assemble b ~entry:"main"
 
 let test_fingerprint_key_stable_and_distinct () =
   let base = Store.Fingerprint.key (fp ()) in
@@ -199,10 +206,7 @@ let test_decode_failure_is_a_miss () =
   let p = Profile.run prog in
   let s = Store.create_mem () in
   Store.put_profile s ~key:"p" p;
-  (* a program the stored pcs cannot validate against *)
-  let b = Asm.create () in
-  Asm.proc b "main" (fun b -> Asm.halt b);
-  let tiny = Asm.assemble b ~entry:"main" in
+  let tiny = tiny_program () in
   let d0 = counter_value "store.decode_failures" in
   Alcotest.(check bool) "decode failure reads as a miss" true
     (Store.get_profile s ~program:tiny ~key:"p" = None);
@@ -340,9 +344,7 @@ let test_decode_failure_quarantined_on_disk () =
       Store.put_profile s ~key:"p" p;
       let name = List.hd (payload_files dir) in
       (* bytes that pass their CRC yet cannot decode against [tiny] *)
-      let b = Asm.create () in
-      Asm.proc b "main" (fun b -> Asm.halt b);
-      let tiny = Asm.assemble b ~entry:"main" in
+      let tiny = tiny_program () in
       let q0 = counter_value "store.quarantined" in
       Alcotest.(check bool) "undecodable bytes dropped" true
         (Store.get_profile s ~program:tiny ~key:"p" = None);
@@ -359,6 +361,120 @@ let test_decode_failure_quarantined_on_disk () =
       let s' = Store.open_dir dir in
       Alcotest.(check (option string)) "absent after reopen" None
         (Store.find s' "p"))
+
+(* --- cached payload checksums --------------------------------------- *)
+
+(* The store's primary payload file for a key made of filename-safe
+   characters. *)
+let primary_path dir key =
+  Filename.concat dir
+    (Printf.sprintf "%s-%s.out" key (Crc32.to_hex (Crc32.string key)))
+
+(* Every [done] row of the manifest names the checksum of its primary
+   payload file as it is on disk now. *)
+let check_manifest_crcs dir =
+  let rows =
+    String.split_on_char '\n' (read_file (Filename.concat dir "manifest"))
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ "done"; key; _gen; _bytes; payload; _line ] ->
+             Some (key, payload)
+           | _ -> None)
+  in
+  List.iter
+    (fun (key, payload) ->
+      Alcotest.(check string) ("manifest checksum of " ^ key)
+        ("payload=" ^ Crc32.to_hex (Crc32.string (read_file (primary_path dir key))))
+        payload)
+    rows;
+  List.length rows
+
+let test_mirror_recovery_persists () =
+  with_dir (fun dir ->
+      let prog = program () in
+      let tiny = tiny_program () in
+      let good = Profile_io.to_binary (Profile.run tiny) in
+      let s = Store.open_dir ~replicas:1 dir in
+      (* the primary holds bytes that pass their checksum yet do not decode
+         against [tiny]; only the replica's bytes do *)
+      Store.put_profile s ~key:"p" (Profile.run prog);
+      write_file (Filename.concat (Filename.concat dir "replica1")
+                    (Filename.basename (primary_path dir "p")))
+        good;
+      let s' = Store.open_dir dir in
+      Alcotest.(check bool) "recovered from the mirror" true
+        (Store.get_profile s' ~program:tiny ~key:"p" <> None);
+      Alcotest.(check string) "primary healed" good
+        (read_file (primary_path dir "p"));
+      ignore (check_manifest_crcs dir);
+      let s'' = Store.open_dir dir in
+      Alcotest.(check (option string)) "reopen serves the recovered bytes"
+        (Some good) (Store.find s'' "p");
+      Alcotest.(check bool) "verify clean" true
+        (Store.check_clean (Store.verify s'')))
+
+(* A crash after a put's bytes landed replays the journal on open, over a
+   live entry and over a key the manifest never recorded; the next
+   manifest must carry the replayed bytes' checksums. *)
+let test_journal_replay_persists () =
+  with_dir (fun dir ->
+      let s = Store.open_dir ~replicas:1 dir in
+      Store.put s ~key:"live" ~payload:"old-bytes";
+      let landed key payload =
+        write_file (primary_path dir key) payload;
+        Journal.append_intent ~dir
+          (Journal.Put
+             { key; gen = 3; bytes = String.length payload;
+               crc = Crc32.string payload })
+      in
+      landed "live" "new-bytes!";
+      landed "fresh" "fresh-bytes";
+      let s' = Store.open_dir dir in
+      Alcotest.(check int) "both rows" 2 (check_manifest_crcs dir);
+      ignore (Store.new_generation s');
+      let s'' = Store.open_dir dir in
+      Alcotest.(check (option string)) "live entry rolled forward"
+        (Some "new-bytes!") (Store.find s'' "live");
+      Alcotest.(check (option string)) "fresh entry rolled forward"
+        (Some "fresh-bytes") (Store.find s'' "fresh");
+      Alcotest.(check bool) "verify clean" true
+        (Store.check_clean (Store.verify s'')))
+
+let test_seeded_ops_keep_manifest_crcs () =
+  with_dir (fun dir ->
+      let rng = Random.State.make [| 15 |] in
+      let keys = [| "k0"; "k1"; "k2"; "k3"; "k4"; "k5" |] in
+      let s = ref (Store.open_dir ~replicas:1 dir) in
+      let model = Hashtbl.create 8 in
+      for _ = 1 to 60 do
+        (match Random.State.int rng 6 with
+         | 0 | 1 | 2 ->
+           let key = keys.(Random.State.int rng (Array.length keys)) in
+           let payload =
+             String.init (Random.State.int rng 200) (fun _ ->
+                 Char.chr (Random.State.int rng 256))
+           in
+           Store.put !s ~key ~payload;
+           Hashtbl.replace model key payload
+         | 3 -> ignore (Store.new_generation !s)
+         | 4 ->
+           ignore (Store.gc !s ~keep:(1 + Random.State.int rng 3));
+           Hashtbl.filter_map_inplace
+             (fun key payload ->
+               if Store.find !s key = None then None else Some payload)
+             model
+         | _ -> s := Store.open_dir dir);
+        Alcotest.(check int) "one row per live entry" (Hashtbl.length model)
+          (check_manifest_crcs dir)
+      done;
+      let s' = Store.open_dir dir in
+      Hashtbl.iter
+        (fun key payload ->
+          Alcotest.(check (option string)) ("reopened " ^ key) (Some payload)
+            (Store.find s' key))
+        model;
+      Alcotest.(check bool) "verify clean" true
+        (Store.check_clean (Store.verify s')))
 
 let suite =
   [ Alcotest.test_case "fingerprint key stable and distinct" `Quick
@@ -392,4 +508,10 @@ let suite =
     Alcotest.test_case "orphan tmp swept on open" `Quick
       test_orphan_tmp_swept_on_open;
     Alcotest.test_case "decode failure quarantined on disk" `Quick
-      test_decode_failure_quarantined_on_disk ]
+      test_decode_failure_quarantined_on_disk;
+    Alcotest.test_case "mirror recovery persists" `Quick
+      test_mirror_recovery_persists;
+    Alcotest.test_case "journal replay persists" `Quick
+      test_journal_replay_persists;
+    Alcotest.test_case "seeded ops keep manifest checksums" `Quick
+      test_seeded_ops_keep_manifest_crcs ]
