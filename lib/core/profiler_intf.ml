@@ -15,7 +15,7 @@
 
 module type S = sig
   (** Short stable name, used as the CLI subcommand, in logs and in
-      benchmark labels. *)
+      metric names. *)
   val name : string
 
   (** Everything that parameterizes a run, packed into one value so the
@@ -38,7 +38,7 @@ module type S = sig
 
   (** The run's cost counters (events seen/profiled, TNV maintenance,
       attach-to-collect wall clock), for `vprof --stats` and the
-      benchmark baseline. *)
+      metrics registry. *)
   val stats : result -> Counters.t
 
   (** Machine steps the run observed (its dynamic instruction count). *)

@@ -31,15 +31,8 @@ val job :
   Workload.input ->
   'a job
 
-(** ["<profiler>:<workload>:<input>"], for logs and bench labels. *)
+(** ["<profiler>:<workload>:<input>"], for logs and failure reports. *)
 val job_name : 'a job -> string
-
-(** The fuel the job was created with ([None] = the machine default). *)
-val job_fuel : 'a job -> int option
-
-(** Run one job with the job's fuel replaced by [fuel] when [Some] — the
-    supervisor's retry path widens a timed-out job's budget this way. *)
-val run_job_with_fuel : fuel:int option -> 'a job -> 'a
 
 (** {2 Fused units}
 

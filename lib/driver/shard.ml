@@ -45,14 +45,11 @@ let plan ?fuel workload input ~shards =
       Sliced { prog; windows = (if windows = [] then [ (0, max_int) ] else windows) }
     end
 
-let plan_size = function
-  | Chunked progs -> List.length progs
-  | Sliced { windows; _ } -> List.length windows
-
-(* Run every shard of [plan] across [jobs] domains and merge in shard
-   order. The pool returns results in submission order whatever the
+(* Plan the run, then run every shard across [jobs] domains and merge in
+   shard order. The pool returns results in submission order whatever the
    scheduling, so the merge input — hence the profile — is deterministic. *)
-let profile_plan ?config ?selection ?fuel ?jobs plan =
+let profile ?config ?selection ?fuel ?jobs ?(shards = 1) workload input =
+  let plan = plan ?fuel workload input ~shards in
   Obs.Metrics.incr m_sharded_runs;
   let run_one task =
     Obs.Trace.with_span ~cat:"driver" "driver.shard" @@ fun () ->
@@ -64,7 +61,7 @@ let profile_plan ?config ?selection ?fuel ?jobs plan =
   in
   let tasks, label_prog =
     match plan with
-    | Chunked [] -> invalid_arg "Shard.profile_plan: empty chunk plan"
+    | Chunked [] -> invalid_arg "Shard.profile: empty chunk plan"
     | Chunked (first :: _ as progs) ->
       (List.map (fun p -> `Chunk p) progs, first)
     | Sliced { prog; windows } ->
@@ -75,7 +72,3 @@ let profile_plan ?config ?selection ?fuel ?jobs plan =
      the merge loses the run but never commits a partial profile *)
   Fault.point ~site:"shard.merge";
   Profile.merge_shards label_prog shards
-
-let profile ?config ?selection ?fuel ?jobs ?(shards = 1) workload input =
-  profile_plan ?config ?selection ?fuel ?jobs
-    (plan ?fuel workload input ~shards)

@@ -32,23 +32,12 @@ type plan =
     with no pre-run. *)
 val plan : ?fuel:int -> Workload.t -> Workload.input -> shards:int -> plan
 
-(** Number of shards the plan will run. *)
-val plan_size : plan -> int
-
-(** Run every shard of a plan across [jobs] domains and merge in shard
-    order. Emits a [driver.shard] span per shard and counts them under
-    [driver.shards]. *)
-val profile_plan :
-  ?config:Vstate.config ->
-  ?selection:Atom.selection ->
-  ?fuel:int ->
-  ?jobs:int ->
-  plan ->
-  Profile.t
-
-(** [profile ~shards workload input] = [profile_plan (plan …)]: the
-    one-call sharded analogue of {!Profile.run}. [shards] defaults to 1,
-    which is byte-identical to the serial profile. *)
+(** [profile ~shards workload input] runs every shard of
+    [plan workload input ~shards] across [jobs] domains and merges them in
+    shard order: the one-call sharded analogue of {!Profile.run}. Emits a
+    [driver.shard] span per shard and counts them under [driver.shards].
+    [shards] defaults to 1, which is byte-identical to the serial
+    profile. *)
 val profile :
   ?config:Vstate.config ->
   ?selection:Atom.selection ->

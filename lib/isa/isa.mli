@@ -102,8 +102,6 @@ val is_control : instr -> bool
 val targets : instr -> int list
 
 val string_of_reg : reg -> string
-val string_of_binop : binop -> string
 val string_of_cond : cond -> string
 
-val pp_instr : Format.formatter -> instr -> unit
 val to_string : instr -> string

@@ -129,7 +129,6 @@ let pc t = t.pc
 let halted t = t.halted
 let icount t = t.icount
 let exec_count t pc = t.exec_counts.(pc)
-let call_depth t = t.depth
 
 let caller_pc t =
   match t.stack with

@@ -78,9 +78,6 @@ val icount : t -> int
 (** Times the instruction at a given pc has executed. *)
 val exec_count : t -> int -> int
 
-(** Current nesting depth of the machine-managed call stack. *)
-val call_depth : t -> int
-
 (** PC of the call instruction that created the current frame, if any —
     available inside procedure-entry hooks, where it identifies the call
     site (context-sensitive profiling uses it). *)

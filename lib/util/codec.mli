@@ -50,9 +50,6 @@ val read_f64 : reader -> float
 val read_u32 : reader -> int
 val read_string : reader -> string
 
-(** [read_bytes r n] consumes exactly [n] raw bytes. *)
-val read_bytes : reader -> int -> string
-
 (** {1 String table}
 
     Interns strings in first-use order; the encoded form is a uvarint

@@ -42,9 +42,6 @@ val run_cost : t -> int
 (** [events_seen] per wall second; 0 when no time elapsed. *)
 val events_per_sec : t -> float
 
-(** [events_profiled / events_seen]; 0 when nothing ran. *)
-val profiled_fraction : t -> float
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

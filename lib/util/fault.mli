@@ -46,12 +46,6 @@ type action =
           genuine mid-mutation death. Never arm it in-process in a test
           runner: the runner dies too — fire it only in subprocesses. *)
 
-(** When an armed site fires. *)
-type firing =
-  | Shots of { at : int; count : int }
-      (** Fire on hits [at .. at+count-1] (1-based), exactly once each. *)
-  | Prob of float  (** Each hit fires with probability [p] in [(0, 1]]. *)
-
 (** Raised by a firing {!point}; carries the site name. *)
 exception Injected of string
 
@@ -79,9 +73,6 @@ val arm : ?action:action -> ?count:int -> site:string -> at:int -> unit -> unit
 (** [arm_prob ~site ~p ()] arms [site] to fire each hit with probability
     [p]. Raises [Invalid_argument] unless [0 < p <= 1]. *)
 val arm_prob : ?action:action -> site:string -> p:float -> unit -> unit
-
-(** [arm_firing ~site firing] is the general form of {!arm}/{!arm_prob}. *)
-val arm_firing : ?action:action -> site:string -> firing -> unit
 
 (** Disarm every site and reset all hit counters (the campaign seed is
     kept). *)

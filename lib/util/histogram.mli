@@ -16,8 +16,6 @@ val create : buckets:int -> lo:float -> hi:float -> t
     Out-of-range samples clamp into the first/last bucket. *)
 val add : t -> float -> weight:float -> unit
 
-val bucket_count : t -> int
-
 (** [bounds t i] is the [(lo, hi)] range of bucket [i]. *)
 val bounds : t -> int -> float * float
 

@@ -4,7 +4,8 @@
    an observer, and neither does a TNV miss that evicts or a CRC-32 over
    a store payload; whole runs of the 12 programs stay under a per-step
    ceiling (the remainder is [Jsr] call frames, and growth of the
-   distinct sets and per-pc predictor tables). *)
+   distinct sets and per-pc predictor tables), and arming a resource
+   budget that never fires adds next to nothing to them. *)
 
 open Isa
 
@@ -106,20 +107,39 @@ let check_ceiling what ceiling words =
   if words > ceiling then
     Alcotest.failf "%s: %.3f minor words/step, ceiling %.2f" what words ceiling
 
-let test_bare_run () =
-  check_ceiling "Machine.run" 0.3
-    (run_words (fun p -> Machine.run (Machine.create p)))
+let bare_run p = Machine.run (Machine.create p)
+let full_profile p = (Profile.run ~selection:`All p).Profile.dynamic_instructions
+
+let test_bare_run () = check_ceiling "Machine.run" 0.3 (run_words bare_run)
 
 let test_full_profile () =
-  check_ceiling "Profile.run ~selection:`All" 1.0
-    (run_words (fun p ->
-         (Profile.run ~selection:`All p).Profile.dynamic_instructions))
+  check_ceiling "Profile.run ~selection:`All" 1.0 (run_words full_profile)
+
+(* A budget armed on limits so generous they never fire adds the
+   machine's periodic [Budget.poll] to every run: a deadline and heap
+   check every 4096 steps. Its price in words is the armed run's excess
+   over the same run unarmed. *)
+let test_armed_budget () =
+  let generous =
+    { Budget.no_limits with
+      deadline = Some 1e9;
+      max_heap_words = Some max_int;
+      degrade = true }
+  in
+  List.iter
+    (fun (what, run) ->
+      let unarmed = run_words run in
+      let armed = Budget.govern generous (fun () -> run_words run) in
+      if armed -. unarmed > 0.01 then
+        Alcotest.failf "%s: armed %.4f vs unarmed %.4f minor words/step, \
+                        excess ceiling 0.01" what armed unarmed)
+    [ ("Machine.run", bare_run); ("Profile.run ~selection:`All", full_profile) ]
 
 (* Over the test programs, as E11 runs them. *)
 let test_prediction () =
   let progs = programs Workload.Test in
   let steps =
-    List.fold_left (fun acc p -> acc + Machine.run (Machine.create p)) 0 progs
+    List.fold_left (fun acc p -> acc + bare_run p) 0 progs
   in
   let w0 = Gc.minor_words () in
   List.iter
@@ -138,4 +158,5 @@ let suite =
       Alcotest.test_case "bare Machine.run over train" `Quick test_bare_run;
       Alcotest.test_case "Profile.run ~selection:`All over train" `Quick
         test_full_profile;
+      Alcotest.test_case "armed budget over train" `Quick test_armed_budget;
       Alcotest.test_case "Predictor.simulate over test" `Quick test_prediction ]
