@@ -93,6 +93,23 @@ let find_or_compute t k f =
   in
   get ()
 
+let running t k =
+  Mutex.lock t.mu;
+  let r =
+    match Hashtbl.find_opt t.tbl k with Some Running -> true | _ -> false
+  in
+  Mutex.unlock t.mu;
+  r
+
+let try_compute t k f =
+  Mutex.lock t.mu;
+  let absent = not (Hashtbl.mem t.tbl k) in
+  Mutex.unlock t.mu;
+  (* another domain may claim [k] in between: then this call waits for
+     it, which is no worse than the caller waiting elsewhere *)
+  if absent then ignore (find_or_compute t k f);
+  absent
+
 let computations t =
   Mutex.lock t.mu;
   let n = t.computations in

@@ -31,6 +31,14 @@ val create : ?size:int -> ?max_entries:int -> unit -> ('k, 'v) t
     (it would deadlock waiting on itself). *)
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 
+(** [try_compute t k f] runs [find_or_compute t k f] only when [k] is
+    neither cached nor being computed, and says whether it did; it never
+    waits. *)
+val try_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> bool
+
+(** A computation for [k] is in flight on some domain. *)
+val running : ('k, 'v) t -> 'k -> bool
+
 (** Number of computations actually run (not counting cache hits) since
     [create]/[clear] — the once-per-key tests assert on this. *)
 val computations : ('k, 'v) t -> int

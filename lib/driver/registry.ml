@@ -2,11 +2,13 @@ type ('c, 'r) entry = {
   profiler :
     (module Profiler_intf.S with type config = 'c and type result = 'r);
   config : Workload.t -> 'c;
+  id : ('c * 'r) Type.Id.t;
 }
 
 let default (type c r)
     (module P : Profiler_intf.S with type config = c and type result = r) =
-  { profiler = (module P); config = (fun _ -> P.default_config) }
+  { profiler = (module P); config = (fun _ -> P.default_config);
+    id = Type.Id.make () }
 
 let profile = default (module Profile.Profiler)
 let sample = default (module Sampler.Profiler)
@@ -15,16 +17,16 @@ let memory = default (module Memprof.Profiler)
 let procs =
   { profiler = (module Procprof.Profiler);
     config =
-      (fun w -> { Procprof.default_config with arities = w.Workload.warities })
-  }
+      (fun w -> { Procprof.default_config with arities = w.Workload.warities });
+    id = Type.Id.make () }
 
 let registers = default (module Regprof.Profiler)
 
 let contexts =
   { profiler = (module Ctxprof.Profiler);
     config =
-      (fun w -> { Ctxprof.default_config with arities = w.Workload.warities })
-  }
+      (fun w -> { Ctxprof.default_config with arities = w.Workload.warities });
+    id = Type.Id.make () }
 
 let phases = default (module Phaseprof.Profiler)
 let trivial = default (module Trivprof.Profiler)

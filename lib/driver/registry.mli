@@ -12,6 +12,11 @@ type ('c, 'r) entry = {
   profiler :
     (module Profiler_intf.S with type config = 'c and type result = 'r);
   config : Workload.t -> 'c;
+  id : ('c * 'r) Type.Id.t;
+      (** The entry's type witness. Two entries whose ids are provably
+          equal ({!Type.Id.provably_equal}) share their config and result
+          types, so code holding entries, configs or results of several
+          profilers side by side can find one back without a cast. *)
 }
 
 val profile : (Profile.profiler_config, Profile.t) entry

@@ -1,6 +1,14 @@
 (* E01 — Table III.1: the benchmark programs, their two data sets, and
    dynamic instruction counts. *)
 
+(* of the train run only its length is read, so its machine (memory
+   included) is not kept *)
+let train_icount = Harness.attachable (fun machine () -> Machine.icount machine)
+
+let needs =
+  [ Harness.demand Workload.Test Harness.plain;
+    Harness.demand Workload.Train train_icount ]
+
 let run () =
   let table =
     Table.create
@@ -11,9 +19,8 @@ let run () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let prog = w.wbuild Workload.Test in
       let m_test = Harness.plain_run w Workload.Test in
-      let m_train = Harness.plain_run w Workload.Train in
+      let prog = Machine.program m_test in
       let census = Atom.category_census prog in
       let count cat =
         match List.assoc_opt cat census with Some n -> n | None -> 0
@@ -23,7 +30,7 @@ let run () =
           Table.count (Array.length prog.Asm.code);
           string_of_int (Array.length prog.Asm.procs);
           Table.count (Machine.icount m_test);
-          Table.count (Machine.icount m_train);
+          Table.count (Harness.get train_icount w Workload.Train);
           Table.count (count Isa.Load);
           Table.count (count Isa.Store) ])
     Harness.workloads;

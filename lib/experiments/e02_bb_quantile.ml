@@ -21,6 +21,8 @@ let coverage counts q =
     float_of_int !acc /. float_of_int total
   end
 
+let needs = [ Harness.demand Workload.Test Harness.plain ]
+
 let run () =
   let headers =
     "program" :: "blocks"
@@ -34,8 +36,8 @@ let run () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let prog = w.wbuild Workload.Test in
       let m = Harness.plain_run w Workload.Test in
+      let prog = Machine.program m in
       let blocks = Cfg.build prog in
       let counts = Cfg.dynamic_counts m blocks in
       Table.add_row table

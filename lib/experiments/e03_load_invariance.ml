@@ -18,6 +18,8 @@ let metric_row name points =
     Table.pct (w (fun m -> m.Metrics.zero));
     Table.fixed ~digits:1 (Stats.mean (Array.of_list diffs)) ]
 
+let needs = [ Harness.demand Workload.Test Harness.full ]
+
 let run () =
   let table =
     Table.create

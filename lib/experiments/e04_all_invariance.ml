@@ -7,6 +7,8 @@ let categories =
     ("loads", fun p -> Isa.category p.Profile.p_instr = Isa.Load);
     ("alu", fun p -> Isa.category p.Profile.p_instr = Isa.Alu) ]
 
+let needs = [ Harness.demand Workload.Test Harness.full ]
+
 let run () =
   let table =
     Table.create

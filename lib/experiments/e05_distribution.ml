@@ -5,6 +5,8 @@
 
 let buckets = 10
 
+let needs = [ Harness.demand Workload.Test Harness.full ]
+
 let run () =
   let headers =
     "program"

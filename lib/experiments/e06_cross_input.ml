@@ -15,6 +15,10 @@ let paired_points (test_profile : Profile.t) (train_profile : Profile.t) =
     test_profile.Profile.points;
   !pairs
 
+let needs =
+  [ Harness.demand Workload.Test Harness.full;
+    Harness.demand Workload.Train Harness.full ]
+
 let run () =
   let table =
     Table.create

@@ -8,8 +8,13 @@
 let capacities = [ 1; 2; 4; 8; 16 ]
 
 (* per capacity: (weighted inv_top error, weighted top-match rate) *)
-let measure w =
-  Harness.tnv_sweep w (List.map (fun c () -> Tnv.create ~capacity:c ()) capacities)
+let sweep =
+  Harness.tnv_sweep
+    (List.map
+       (fun c -> { Vstate.default_config with tnv_capacity = c })
+       capacities)
+
+let needs = [ Harness.demand Workload.Test sweep ]
 
 let run () =
   let headers =
@@ -26,7 +31,7 @@ let run () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let per_cap = measure w in
+      let per_cap = Harness.get sweep w Workload.Test in
       Table.add_row table
         (w.wname
          :: List.concat_map

@@ -7,9 +7,14 @@ let capacity = 4
 let policies =
   [ ("lfu-clear", Tnv.Lfu_clear); ("lfu", Tnv.Lfu); ("lru", Tnv.Lru) ]
 
-let measure w =
-  Harness.tnv_sweep w
-    (List.map (fun (_, p) () -> Tnv.create ~policy:p ~capacity ()) policies)
+let sweep =
+  Harness.tnv_sweep
+    (List.map
+       (fun (_, p) ->
+         { Vstate.default_config with tnv_policy = p; tnv_capacity = capacity })
+       policies)
+
+let needs = [ Harness.demand Workload.Test sweep ]
 
 let run () =
   let headers =
@@ -26,7 +31,7 @@ let run () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let per_policy = measure w in
+      let per_policy = Harness.get sweep w Workload.Test in
       Table.add_row table
         (w.wname
          :: List.concat_map

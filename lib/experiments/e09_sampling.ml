@@ -9,6 +9,11 @@ let configs =
     ("aggressive",
      { Sampler.default_config with
        initial_skip = 500; backoff = 8.; max_skip = 500_000 }) ]
+  |> List.map (fun (name, config) -> (name, Harness.sampled config))
+
+let needs =
+  Harness.demand Workload.Test Harness.full
+  :: List.map (fun (_, n) -> Harness.demand Workload.Test n) configs
 
 let run () =
   let table =
@@ -22,8 +27,8 @@ let run () =
     (fun (w : Workload.t) ->
       let full = Harness.full_profile w Workload.Test in
       List.iter
-        (fun (cname, config) ->
-          let sampled = Sampler.run ~config (w.wbuild Workload.Test) in
+        (fun (cname, sampler) ->
+          let sampled = Harness.get sampler w Workload.Test in
           let converged =
             Array.fold_left
               (fun acc (p : Sampler.point) -> if p.s_converged then acc + 1 else acc)

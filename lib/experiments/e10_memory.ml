@@ -1,6 +1,20 @@
 (* E10 — memory-location value profiling (Chapter VII): how invariant are
    the values stored at individual memory locations? *)
 
+(* the row figures, computed when the unit collects: the location array
+   is not kept *)
+let rows =
+  Harness.need Registry.memory (fun r ->
+      [ Table.count (Array.length r.Memprof.locations);
+        Table.count r.Memprof.tracked_events;
+        Table.pct (Memprof.mean_metric r (fun m -> m.Metrics.inv_top));
+        Table.pct (Memprof.mean_metric r (fun m -> m.Metrics.lvp));
+        Table.pct (Memprof.fraction_invariant r ~threshold:0.9);
+        Table.pct (Memprof.fraction_invariant ~weighted:false r ~threshold:0.9);
+        Table.pct (Memprof.mean_metric r (fun m -> m.Metrics.zero)) ])
+
+let needs = [ Harness.demand Workload.Test rows ]
+
 let run () =
   let table =
     Table.create
@@ -11,15 +25,6 @@ let run () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let r = Memprof.run (w.wbuild Workload.Test) in
-      Table.add_row table
-        [ w.wname;
-          Table.count (Array.length r.Memprof.locations);
-          Table.count r.Memprof.tracked_events;
-          Table.pct (Memprof.mean_metric r (fun m -> m.Metrics.inv_top));
-          Table.pct (Memprof.mean_metric r (fun m -> m.Metrics.lvp));
-          Table.pct (Memprof.fraction_invariant r ~threshold:0.9);
-          Table.pct (Memprof.fraction_invariant ~weighted:false r ~threshold:0.9);
-          Table.pct (Memprof.mean_metric r (fun m -> m.Metrics.zero)) ])
+      Table.add_row table (w.wname :: Harness.get rows w Workload.Test))
     Harness.workloads;
   [ table ]

@@ -10,6 +10,22 @@ let standard_predictors () =
     Predictor.hybrid (Predictor.lvp ~bits:10 ()) (Predictor.stride ~bits:10 ());
     Predictor.perfect_last () ]
 
+let predicting predictors machine =
+  let live = Predictor.attach machine predictors in
+  fun () -> Predictor.collect live
+
+let models = Harness.attachable (fun m -> predicting (standard_predictors ()) m)
+
+(* read the finished test profile, so they run on the second unit *)
+let filtered =
+  Harness.profiled (fun profile ->
+      predicting
+        [ Predictor.lvp ~bits:6 ();
+          Predictor.filtered ~profile ~threshold:0.5 (Predictor.lvp ~bits:6 ()) ])
+
+let needs =
+  [ Harness.demand Workload.Test models; Harness.demand Workload.Test filtered ]
+
 let models_table () =
   let table =
     Table.create
@@ -19,9 +35,7 @@ let models_table () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let results =
-        Predictor.simulate (w.wbuild Workload.Test) (standard_predictors ())
-      in
+      let results = Harness.get models w Workload.Test in
       List.iter
         (fun (r : Predictor.result) ->
           Table.add_row table
@@ -43,14 +57,7 @@ let filtered_table () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let profile = Harness.full_profile w Workload.Test in
-      let unfiltered = Predictor.lvp ~bits:6 () in
-      let filtered =
-        Predictor.filtered ~profile ~threshold:0.5 (Predictor.lvp ~bits:6 ())
-      in
-      let results =
-        Predictor.simulate (w.wbuild Workload.Test) [ unfiltered; filtered ]
-      in
+      let results = Harness.get filtered w Workload.Test in
       List.iter
         (fun (r : Predictor.result) ->
           Table.add_row table

@@ -15,18 +15,24 @@ type outcome = {
   o_icount_after : int;
 }
 
-(* Try candidates in order until one specializes cleanly. *)
+let needs =
+  [ Harness.demand Workload.Test Harness.procs;
+    Harness.demand Workload.Test Harness.plain ]
+
+(* Try candidates in order until one specializes cleanly. The original
+   side of the differential check is the harness's plain run. *)
 let attempt (w : Workload.t) =
   let pp = Harness.proc_profile w Workload.Test in
   let candidates = Specialize.candidates pp ~min_calls:100 ~min_inv:0.5 in
-  let prog = w.wbuild Workload.Test in
+  let original = Harness.plain_run w Workload.Test in
+  let prog = Machine.program original in
   let rec go = function
     | [] -> None
     | (proc, param, value, inv) :: rest ->
       (match Specialize.specialize prog ~proc ~param ~value with
        | report ->
          let equal, before, after =
-           Specialize.differential prog report.Specialize.sp_program
+           Specialize.differential ~original prog report.Specialize.sp_program
          in
          Some
            { o_workload = w.wname; o_proc = proc; o_param = param;

@@ -2,6 +2,8 @@
    of the hottest procedures, plus the Richardson [32] memoization
    opportunity (how often a procedure sees an argument tuple again). *)
 
+let needs = [ Harness.demand Workload.Test Harness.procs ]
+
 let run () =
   let table =
     Table.create

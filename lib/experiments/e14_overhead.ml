@@ -4,6 +4,12 @@
    reduction. Wall-clock cost of the OCaml sampler itself is perfbench's
    sampler.ns_per_step. *)
 
+let sampler = Harness.sampled Sampler.default_config
+
+let needs =
+  [ Harness.demand Workload.Test Harness.full;
+    Harness.demand Workload.Test sampler ]
+
 let run () =
   let table =
     Table.create
@@ -15,7 +21,7 @@ let run () =
   List.iter
     (fun (w : Workload.t) ->
       let full = Harness.full_profile w Workload.Test in
-      let sampled = Sampler.run (w.wbuild Workload.Test) in
+      let sampled = Harness.get sampler w Workload.Test in
       let reduction =
         if sampled.Sampler.profiled_events = 0 then infinity
         else

@@ -4,6 +4,21 @@
    stride-predictable, or unpredictable, and a routed predictor gives each
    class its own table — or none. *)
 
+let routed =
+  Harness.profiled (fun profile ->
+      E11_prediction.predicting
+        [ Predictor.lvp ~bits:8 ();
+          Predictor.stride ~bits:8 ();
+          Predictor.hybrid (Predictor.lvp ~bits:8 ()) (Predictor.stride ~bits:8 ());
+          Predictor.routed ~profile
+            ~last_value:(Predictor.lvp ~bits:8 ())
+            ~strided:(Predictor.stride ~bits:8 ())
+            () ])
+
+let needs =
+  [ Harness.demand Workload.Test Harness.full;
+    Harness.demand Workload.Test routed ]
+
 let class_census_table () =
   let table =
     Table.create
@@ -49,17 +64,7 @@ let routed_table () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let profile = Harness.full_profile w Workload.Test in
-      let predictors =
-        [ Predictor.lvp ~bits:8 ();
-          Predictor.stride ~bits:8 ();
-          Predictor.hybrid (Predictor.lvp ~bits:8 ()) (Predictor.stride ~bits:8 ());
-          Predictor.routed ~profile
-            ~last_value:(Predictor.lvp ~bits:8 ())
-            ~strided:(Predictor.stride ~bits:8 ())
-            () ]
-      in
-      let results = Predictor.simulate (w.wbuild Workload.Test) predictors in
+      let results = Harness.get routed w Workload.Test in
       List.iter
         (fun (r : Predictor.result) ->
           Table.add_row table

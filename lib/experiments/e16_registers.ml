@@ -10,6 +10,10 @@ let reg_class r =
   else if r >= Isa.s0 && r <= Isa.s5 then "saved"
   else "other"
 
+let registers = Harness.need Registry.registers Fun.id
+
+let needs = [ Harness.demand Workload.Test registers ]
+
 let run () =
   let table =
     Table.create
@@ -19,7 +23,7 @@ let run () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let r = Regprof.run (w.wbuild Workload.Test) in
+      let r = Harness.get registers w Workload.Test in
       (* aggregate per register class, weighted by writes *)
       let classes = [ "v0"; "args"; "temps"; "saved" ] in
       List.iter

@@ -3,6 +3,12 @@
    profile by call site can only raise observed invariance; this measures
    by how much, per procedure and per workload. *)
 
+let contexts = Harness.need Registry.contexts Fun.id
+
+let needs =
+  [ Harness.demand Workload.Test Harness.procs;
+    Harness.demand Workload.Test contexts ]
+
 let run () =
   let table =
     Table.create
@@ -14,9 +20,8 @@ let run () =
   let flat_means = ref [] and ctx_means = ref [] in
   List.iter
     (fun (w : Workload.t) ->
-      let prog = w.wbuild Workload.Test in
       let flat = Harness.proc_profile w Workload.Test in
-      let ctx = Ctxprof.run ~config:(Registry.contexts.config w) prog in
+      let ctx = Harness.get contexts w Workload.Test in
       let sites_of proc =
         Array.to_list ctx.Ctxprof.contexts
         |> List.filter (fun (c : Ctxprof.context_report) -> c.c_proc = proc)

@@ -6,6 +6,12 @@
 let criteria =
   [ ("inv-delta (thesis)", Sampler.Inv_delta);
     ("top-stability", Sampler.Top_stability) ]
+  |> List.map (fun (name, criterion) ->
+         (name, Harness.sampled { Sampler.default_config with criterion }))
+
+let needs =
+  Harness.demand Workload.Test Harness.full
+  :: List.map (fun (_, n) -> Harness.demand Workload.Test n) criteria
 
 let run () =
   let table =
@@ -18,9 +24,8 @@ let run () =
     (fun (w : Workload.t) ->
       let full = Harness.full_profile w Workload.Test in
       List.iter
-        (fun (name, criterion) ->
-          let config = { Sampler.default_config with criterion } in
-          let sampled = Sampler.run ~config (w.wbuild Workload.Test) in
+        (fun (name, sampler) ->
+          let sampled = Harness.get sampler w Workload.Test in
           let converged =
             Array.fold_left
               (fun acc (p : Sampler.point) ->

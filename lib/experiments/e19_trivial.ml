@@ -3,6 +3,10 @@
    compiler could see statically (immediate operands) and cases only a
    value profile reveals (run-time register values). *)
 
+let trivial = Harness.need Registry.trivial Fun.id
+
+let needs = [ Harness.demand Workload.Test trivial ]
+
 let run () =
   let table =
     Table.create
@@ -12,7 +16,7 @@ let run () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let r = Trivprof.run (w.wbuild Workload.Test) in
+      let r = Harness.get trivial w Workload.Test in
       Table.add_row table
         [ w.wname;
           Table.count r.Trivprof.alu_events;

@@ -4,6 +4,16 @@
 
 let capacities = [ 16; 64; 256; 1024; 4096 ]
 
+let rates =
+  List.map
+    (fun memo_capacity ->
+      Harness.need
+        ~config:(fun w -> { (Registry.procs.config w) with memo_capacity })
+        Registry.procs Procprof.memo_hit_rate)
+    capacities
+
+let needs = List.map (Harness.demand Workload.Test) rates
+
 let run () =
   let headers =
     "program" :: List.map (fun c -> Printf.sprintf "cap %d" c) capacities
@@ -16,14 +26,7 @@ let run () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let rates =
-        List.map
-          (fun memo_capacity ->
-            let config = { (Registry.procs.config w) with memo_capacity } in
-            let pp = Procprof.run ~config (w.wbuild Workload.Test) in
-            Procprof.memo_hit_rate pp)
-          capacities
-      in
+      let rates = List.map (fun n -> Harness.get n w Workload.Test) rates in
       Table.add_row table (w.wname :: List.map Table.pct rates))
     Harness.workloads;
   [ table ]

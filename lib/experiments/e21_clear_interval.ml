@@ -8,11 +8,14 @@ let intervals = [ 50; 200; 1000; 2000; 10000 ]
 
 let capacity = 8
 
-(* per interval: weighted inv_top error *)
-let measure w =
-  Harness.tnv_sweep w
-    (List.map (fun i () -> Tnv.create ~clear_interval:i ~capacity ()) intervals)
-  |> List.map fst
+let sweep =
+  Harness.tnv_sweep
+    (List.map
+       (fun i ->
+         { Vstate.default_config with clear_interval = i; tnv_capacity = capacity })
+       intervals)
+
+let needs = [ Harness.demand Workload.Test sweep ]
 
 let run () =
   let headers =
@@ -28,7 +31,8 @@ let run () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let per = measure w in
+      (* per interval: weighted inv_top error *)
+      let per = List.map fst (Harness.get sweep w Workload.Test) in
       Table.add_row table (w.wname :: List.map Table.pct per))
     Harness.workloads;
   [ table ]

@@ -5,6 +5,12 @@
 
 let threshold = 0.9
 
+let speculate = Harness.need Registry.speculate Fun.id
+
+let needs =
+  [ Harness.demand Workload.Test speculate;
+    Harness.demand Workload.Test Harness.full ]
+
 let run () =
   let table =
     Table.create
@@ -17,8 +23,7 @@ let run () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let prog = w.wbuild Workload.Test in
-      let spec = Specul.run prog in
+      let spec = Harness.get speculate w Workload.Test in
       let profile = Harness.full_profile w Workload.Test in
       let invariant_pc pc =
         match Profile.point_at profile pc with

@@ -9,6 +9,11 @@
 let candidates =
   [ ("perl", "hash_word", 2); ("li", "arith", 3); ("vortex", "find", 2) ]
 
+let needs =
+  let only = List.map (fun (w, _, _) -> w) candidates in
+  [ Harness.demand ~only Workload.Test Harness.procs;
+    Harness.demand ~only Workload.Test Harness.plain ]
+
 let run () =
   let table =
     Table.create
@@ -20,7 +25,8 @@ let run () =
   List.iter
     (fun (wname, proc, arity) ->
       let w = Workloads.find wname in
-      let prog = w.wbuild Workload.Test in
+      let original = Harness.plain_run w Workload.Test in
+      let prog = Machine.program original in
       let pp = Harness.proc_profile w Workload.Test in
       let profile_rate =
         match
@@ -34,7 +40,7 @@ let run () =
       in
       match Memoize.memoize prog ~proc ~arity with
       | report ->
-        let equal, before, after = Memoize.differential prog report in
+        let equal, before, after = Memoize.differential ~original prog report in
         Table.add_row table
           [ wname; proc;
             Table.pct profile_rate;

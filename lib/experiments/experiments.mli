@@ -6,7 +6,12 @@ type spec = {
   id : string;  (** "e01" … "e24" *)
   title : string;
   paper_ref : string;  (** the thesis table/figure it regenerates *)
+  needs : Harness.demand list;
+      (** what [run] reads from the harness units; {!run} and
+          {!run_strings} plan the units from the needs of the specs they
+          execute, so a wrapper that replaces [run] keeps the plan *)
   run : unit -> Table.t list;
+      (** renders the tables, executing any unit it is the first to read *)
 }
 
 val all : spec list

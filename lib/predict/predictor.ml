@@ -434,15 +434,23 @@ type result = {
   pr_evictions : int;
 }
 
-let simulate ?(selection = `All) ?fuel prog predictors =
-  let machine = Machine.create prog in
+(* One observer per selected pc drives every model from the same event
+   stream; the counts live in the [live] record until [collect]. *)
+type live = {
+  machine : Machine.t;
+  preds : t array;
+  events : int ref;
+  predicted : int array;
+  correct : int array;
+}
+
+let attach ?(selection = `All) machine predictors =
   let preds = Array.of_list predictors in
   let n = Array.length preds in
   let events = ref 0 in
   let predicted = Array.make n 0 in
   let correct = Array.make n 0 in
   let value = cell () in
-  let pcs = Atom.select prog selection in
   List.iter
     (fun pc ->
       Machine.add_observer machine pc (fun () ->
@@ -455,8 +463,10 @@ let simulate ?(selection = `All) ?fuel prog predictors =
               if r = right then correct.(i) <- correct.(i) + 1
             end
           done))
-    pcs;
-  ignore (Machine.run ?fuel machine);
+    (Atom.select (Machine.program machine) selection);
+  { machine; preds; events; predicted; correct }
+
+let collect { preds; events; predicted; correct; _ } =
   Array.to_list
     (Array.mapi
        (fun i p ->
@@ -474,3 +484,9 @@ let simulate ?(selection = `All) ?fuel prog predictors =
              (if ev = 0 then 0. else float_of_int correct.(i) /. float_of_int ev);
            pr_evictions = p.pevictions () })
        preds)
+
+let simulate ?selection ?fuel prog predictors =
+  let machine = Machine.create prog in
+  let live = attach ?selection machine predictors in
+  ignore (Machine.run ?fuel machine);
+  collect live

@@ -89,7 +89,19 @@ type result = {
   pr_evictions : int;
 }
 
-(** Run the program once and drive every predictor in the list from the
-    same event stream. *)
+(** Predictors attached to a live machine; collect after running. *)
+type live
+
+(** [attach machine predictors] subscribes one observer per pc of
+    [selection] (default [`All] value-producing instructions) that drives
+    every predictor in the list from the same event stream. Additive, like
+    any profiler: other observers on the machine see the same events. *)
+val attach : ?selection:Atom.selection -> Machine.t -> t list -> live
+
+(** One result per predictor, in list order. *)
+val collect : live -> result list
+
+(** Run the program once with the predictors attached: {!attach},
+    [Machine.run], {!collect}. *)
 val simulate :
   ?selection:Atom.selection -> ?fuel:int -> Asm.program -> t list -> result list

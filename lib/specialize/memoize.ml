@@ -149,14 +149,16 @@ let checksum_excluding m ~lo ~hi =
         acc := Int64.add !acc (mix addr v));
   !acc
 
-let differential ?fuel original report =
+let differential ?fuel ?original prog report =
   let lo = report.m_table_base in
   let hi =
     Int64.add lo
       (Int64.of_int (report.m_entries * (report.m_arity + 2)))
   in
   (* the stack red zone the wrapper uses is restored, so it never differs *)
-  let m1 = Machine.execute ?fuel original in
+  let m1 =
+    match original with Some m -> m | None -> Machine.execute ?fuel prog
+  in
   let m2 = Machine.execute ?fuel report.m_program in
   ( Int64.equal (checksum_excluding m1 ~lo ~hi) (checksum_excluding m2 ~lo ~hi),
     Machine.icount m1,

@@ -43,5 +43,8 @@ val memoize :
     region and the stack region (the cache legitimately differs; the
     wrapper's restored spill slots leave residue below the stack pointer
     that is not program output). Returns
-    [(equal, icount_original, icount_memoized)]. *)
-val differential : ?fuel:int -> Asm.program -> report -> bool * int * int
+    [(equal, icount_original, icount_memoized)]. [original], a machine
+    that has already run the original program to completion, stands in
+    for its run. *)
+val differential :
+  ?fuel:int -> ?original:Machine.t -> Asm.program -> report -> bool * int * int

@@ -140,8 +140,10 @@ let state_checksum m =
       if not (Int64.equal v 0L) then acc := Int64.add !acc (mix addr v));
   !acc
 
-let differential ?fuel original specialized =
-  let m1 = Machine.execute ?fuel original in
+let differential ?fuel ?original prog specialized =
+  let m1 =
+    match original with Some m -> m | None -> Machine.execute ?fuel prog
+  in
   let m2 = Machine.execute ?fuel specialized in
   ( Int64.equal (state_checksum m1) (state_checksum m2),
     Machine.icount m1,

@@ -48,5 +48,11 @@ val candidates :
 
 (** Differential harness: run both programs and compare final state
     ([v0] and a memory checksum). Returns [(equal, icount_original,
-    icount_specialized)]. *)
-val differential : ?fuel:int -> Asm.program -> Asm.program -> bool * int * int
+    icount_specialized)]. [original], a machine that has already run the
+    original program to completion, stands in for its run. *)
+val differential :
+  ?fuel:int ->
+  ?original:Machine.t ->
+  Asm.program ->
+  Asm.program ->
+  bool * int * int

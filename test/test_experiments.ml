@@ -208,6 +208,111 @@ let test_harness_store_serves_profiles () =
       Alcotest.(check string) "identical profile" (Profile_io.to_string p1)
         (Profile_io.to_string p2))
 
+(* ---- planned units ---------------------------------------------------- *)
+
+let spec_needs ids =
+  List.concat_map (fun id -> (Experiments.find id).Experiments.needs) ids
+
+(* The gate: one cold pass of the whole suite executes each program once
+   per stage — 24 stage-A units (every workload/input), 12 stage-B units
+   (the profile-guided predictors on each test input) and the 9 runs of
+   the specialized and memoized programs e12/e23 check — at one domain
+   and at two, with the same bytes. *)
+let test_suite_runs_planned_units () =
+  let pass jobs =
+    Harness.clear_cache ();
+    let m0 = counter_value "machine.runs" in
+    let rep =
+      Experiments.run_strings
+        ~config:{ Experiments.default_run_config with rc_jobs = Some jobs }
+        Experiments.all
+    in
+    let runs = counter_value "machine.runs" - m0 in
+    Alcotest.(check int) "no failures" 0 rep.Supervisor.failed;
+    Alcotest.(check bool)
+      (Printf.sprintf "-j %d: %d machine runs <= 45" jobs runs)
+      true (runs <= 45);
+    String.concat "" (Supervisor.oks rep)
+  in
+  let serial = pass 1 in
+  let parallel = pass 2 in
+  Harness.clear_cache ();
+  Alcotest.(check bool) "-j 2 output byte-identical to -j 1" true
+    (String.equal serial parallel)
+
+(* Installing a plan computes nothing; the TNV sweep shares its unit (and
+   its oracles) with every other sweep and need, and still gives exactly
+   what its own unit gives. *)
+let test_sweep_fused_matches_solo () =
+  let w = Workloads.find "compress" in
+  let sweeps =
+    [ E07_tnv_size.sweep; E08_replacement.sweep; E21_clear_interval.sweep ]
+  in
+  Harness.clear_cache ();
+  let solo = List.map (fun n -> Harness.get n w Workload.Test) sweeps in
+  Alcotest.(check int) "outside a plan: one unit per sweep" 3
+    (Harness.machine_runs ());
+  Harness.clear_cache ();
+  let fused =
+    Harness.with_plan
+      (spec_needs [ "e03"; "e07"; "e08"; "e10"; "e11"; "e21" ])
+      (fun () ->
+        Alcotest.(check int) "installing a plan runs nothing" 0
+          (Harness.machine_runs ());
+        List.map (fun n -> Harness.get n w Workload.Test) sweeps)
+  in
+  Alcotest.(check int) "planned: one unit serves every sweep" 1
+    (Harness.machine_runs ());
+  Harness.clear_cache ();
+  Alcotest.(check bool) "fused sweeps identical to solo" true (solo = fused)
+
+(* Needs on the same profiler with structurally equal configs attach
+   once: e09/e14/e18/e24 ask for seven samplers, four distinct; e20's
+   capacity 4096 is the harness's procedure-profile config. *)
+let test_equal_needs_attach_once () =
+  let w = Workloads.find "li" in
+  let runs name = counter_value ("profiler." ^ name ^ ".runs") in
+  Harness.clear_cache ();
+  let s0 = runs "sample" and p0 = runs "procs" in
+  Harness.with_plan
+    (spec_needs [ "e09"; "e13"; "e14"; "e18"; "e20"; "e24" ])
+    (fun () ->
+      let sampled = Harness.get E14_overhead.sampler w Workload.Test in
+      Alcotest.(check bool) "e14 and e24 read one sampler result" true
+        (sampled == Harness.get E24_phases.sampler w Workload.Test);
+      Alcotest.(check (float 0.)) "e20's 4096 is the harness procs run"
+        (Procprof.memo_hit_rate (Harness.proc_profile w Workload.Test))
+        (Harness.get (List.nth E20_memo_sweep.rates 4) w Workload.Test));
+  Alcotest.(check int) "one unit" 1 (Harness.machine_runs ());
+  Alcotest.(check int) "four sampler runs" 4 (runs "sample" - s0);
+  Alcotest.(check int) "five procedure-profile runs" 5 (runs "procs" - p0);
+  Harness.clear_cache ()
+
+(* A unit that fails fails every experiment that reads it, each under its
+   own id, and nothing escapes the suite. *)
+let test_failing_unit_fails_each_reader () =
+  Harness.clear_cache ();
+  let rep =
+    Fun.protect ~finally:Fault.disarm (fun () ->
+        Fault.arm ~site:"machine.step" ~at:1 ~count:1_000_000_000 ();
+        Experiments.run_strings
+          ~config:
+            { Experiments.default_run_config with
+              rc_jobs = Some 1; rc_retries = 0 }
+          [ Experiments.find "e03"; Experiments.find "e07" ])
+  in
+  Harness.clear_cache ();
+  Alcotest.(check int) "both failed" 2 rep.Supervisor.failed;
+  List.iter2
+    (fun id (o : string Supervisor.outcome) ->
+      Alcotest.(check string) "reported under its own id" id o.Supervisor.o_name;
+      match o.Supervisor.o_result with
+      | Error (Supervisor.Injected site) ->
+        Alcotest.(check string) "the unit's fault" "machine.step" site
+      | Error e -> Alcotest.fail (Supervisor.string_of_error e)
+      | Ok _ -> Alcotest.fail (id ^ " should fail"))
+    [ "e03"; "e07" ] rep.Supervisor.outcomes
+
 let suite =
   [ Alcotest.test_case "registry" `Quick test_registry_complete;
     Alcotest.test_case "bb coverage monotone" `Quick
@@ -228,4 +333,12 @@ let suite =
     Alcotest.test_case "store serves repeat suite" `Quick
       test_store_serves_repeat_suite;
     Alcotest.test_case "harness store serves profiles" `Quick
-      test_harness_store_serves_profiles ]
+      test_harness_store_serves_profiles;
+    Alcotest.test_case "suite runs planned units" `Slow
+      test_suite_runs_planned_units;
+    Alcotest.test_case "sweep fused matches solo" `Quick
+      test_sweep_fused_matches_solo;
+    Alcotest.test_case "equal needs attach once" `Quick
+      test_equal_needs_attach_once;
+    Alcotest.test_case "failing unit fails each reader" `Quick
+      test_failing_unit_fails_each_reader ]

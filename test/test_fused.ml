@@ -185,22 +185,36 @@ let tiny_workload =
     wbuild = (fun _ -> tiny_program 1 0); wshard = None;
     warities = [ ("f", 1) ] }
 
-let entry (type c r) (e : (c, r) Registry.entry) render =
+(* one renderer per registered profiler, found by the entry's type
+   witness *)
+type renderer = Renderer : ('c * 'r) Type.Id.t * ('r -> string) -> renderer
+
+let renderers =
+  Registry.
+    [ Renderer (profile.id, render_profile); Renderer (sample.id, render_sample);
+      Renderer (memory.id, render_memory); Renderer (procs.id, render_procs);
+      Renderer (registers.id, render_registers);
+      Renderer (contexts.id, render_contexts);
+      Renderer (phases.id, render_phases); Renderer (trivial.id, render_trivial);
+      Renderer (speculate.id, render_speculate) ]
+
+let entry (type c r) (e : (c, r) Registry.entry) =
   let (module P) = e.profiler in
   let config = e.config tiny_workload in
-  { pname = P.name;
-    item = Fused.item ~config ~finish:render (module P);
-    solo = (fun prog -> render (P.run ~config prog)) }
+  List.find_map
+    (fun (Renderer (id, render)) ->
+      match Type.Id.provably_equal id e.id with
+      | Some Type.Equal ->
+        Some
+          { pname = P.name;
+            item = Fused.item ~config ~finish:render (module P);
+            solo = (fun prog -> render (P.run ~config prog)) }
+      | None -> None)
+    renderers
 
-(* one renderer per registered profiler, in registry order; "item
-   names" fails until a new registration gets one *)
-let roster =
-  Registry.
-    [ entry profile render_profile; entry sample render_sample;
-      entry memory render_memory; entry procs render_procs;
-      entry registers render_registers; entry contexts render_contexts;
-      entry phases render_phases; entry trivial render_trivial;
-      entry speculate render_speculate ]
+(* generated from the registry, in its order; "roster names" fails until
+   a new registration gets a renderer *)
+let roster = List.filter_map (fun (Registry.Entry e) -> entry e) Registry.all
 
 (* ---- co-attachment: no profiler shadows another ------------------- *)
 

@@ -561,6 +561,28 @@ let test_simulate_matches_reference () =
         expected got)
     [ "li"; "compress"; "m88ksim" ]
 
+(* [attach] beside other members — the full value profiler, the memory
+   profiler and a second predictor set, on one machine — yields exactly
+   the results of a solo [simulate]: the experiment units rely on it. *)
+let test_attached_beside_others_matches_solo () =
+  let specs = [ Lvp 10; Stride 10; Fcm (12, 2); Hybrid (Lvp 10, Stride 10);
+                Filtered (Lvp 6); Routed (Lvp 8, Stride 8) ] in
+  List.iter
+    (fun name ->
+      let prog = (Workloads.find name).Workload.wbuild Workload.Test in
+      let profile = Profile.run prog in
+      let solo = Predictor.simulate prog (List.map (build profile) specs) in
+      let machine = Machine.create prog in
+      let full = Profile.attach machine `All in
+      let live = Predictor.attach machine (List.map (build profile) specs) in
+      let memory = Memprof.attach machine in
+      let other = Predictor.attach machine [ Predictor.perfect_last () ] in
+      ignore (Machine.run machine);
+      ignore (Profile.collect full, Memprof.collect memory, Predictor.collect other);
+      Alcotest.(check bool) (name ^ ": fused identical to solo") true
+        (Predictor.collect live = solo))
+    [ "li"; "m88ksim" ]
+
 let test_negative_pc_rejected () =
   List.iter
     (fun spec ->
@@ -592,4 +614,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_matches_reference;
     Alcotest.test_case "simulate matches reference" `Quick
       test_simulate_matches_reference;
+    Alcotest.test_case "attached beside others = solo" `Quick
+      test_attached_beside_others_matches_solo;
     Alcotest.test_case "negative pc rejected" `Quick test_negative_pc_rejected ]
