@@ -782,8 +782,7 @@ let retries_arg =
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "Extra attempts for a failing experiment before it is recorded \
-           as a failure (fuel-exhausted retries double the budget each \
-           time).")
+           as a failure.")
 
 let fail_fast_arg =
   Arg.(
@@ -841,7 +840,7 @@ let write_failure_report dir (rep : string Supervisor.report) =
           failures)
 
 let run_experiments id csv jobs shards checkpoint resume store replicas
-    retries fail_fast fuel trace metrics gov =
+    retries fail_fast trace metrics gov =
   let specs =
     if id = "all" then Experiments.all
     else
@@ -858,7 +857,6 @@ let run_experiments id csv jobs shards checkpoint resume store replicas
   let config =
     { Experiments.default_run_config with
       Experiments.rc_jobs = Some (effective_jobs jobs);
-      rc_fuel = fuel;
       rc_retries = max 0 retries;
       rc_fail_fast = fail_fast;
       rc_trace = trace;
@@ -895,7 +893,7 @@ let run_experiments id csv jobs shards checkpoint resume store replicas
          --checkpoint/--store runs do not retain; use one or the other";
       exit 2
     end;
-    let ck = Option.map (Checkpoint.create ~resume) ck_dir in
+    let ck = Option.map (Store.open_dir ~reset:(not resume)) ck_dir in
     let st = Option.map (open_store ~replicas) store_dir in
     let rep =
       Experiments.run_strings
@@ -961,7 +959,7 @@ let experiment_cmd =
     Term.(
       const run_experiments $ id_arg $ csv_arg $ jobs_arg $ shards_arg
       $ checkpoint_arg $ resume_arg $ store_arg $ replicas_arg $ retries_arg
-      $ fail_fast_arg $ fuel_arg $ trace_arg $ metrics_arg $ governance_arg)
+      $ fail_fast_arg $ trace_arg $ metrics_arg $ governance_arg)
 
 let experiments_cmd =
   let all_arg =
@@ -987,14 +985,14 @@ let experiments_cmd =
              telemetry pipeline cheaply.")
   in
   let run all id smoke csv jobs shards checkpoint resume store replicas
-      retries fail_fast fuel trace metrics gov =
+      retries fail_fast trace metrics gov =
     let id =
       if smoke then "e01"
       else if all then "all"
       else Option.value id ~default:"all"
     in
     run_experiments id csv jobs shards checkpoint resume store replicas
-      retries fail_fast fuel trace metrics gov
+      retries fail_fast trace metrics gov
   in
   Cmd.v
     (Cmd.info "experiments"
@@ -1007,7 +1005,7 @@ let experiments_cmd =
     Term.(
       const run $ all_arg $ id_arg $ smoke_arg $ csv_arg $ jobs_arg
       $ shards_arg $ checkpoint_arg $ resume_arg $ store_arg $ replicas_arg
-      $ retries_arg $ fail_fast_arg $ fuel_arg $ trace_arg $ metrics_arg
+      $ retries_arg $ fail_fast_arg $ trace_arg $ metrics_arg
       $ governance_arg)
 
 (* store *)

@@ -26,13 +26,6 @@ type 'a funit = {
   u_members : (int * 'a job) list; (* ascending submission index *)
 }
 
-let solo js =
-  List.mapi
-    (fun i (Job { workload; input; fuel; _ } as j) ->
-      { u_workload = workload; u_input = input; u_fuel = fuel;
-        u_members = [ (i, j) ] })
-    js
-
 (* Group jobs sharing a (workload, input, fuel) key, preserving the
    submission order of first occurrences (and of members within a unit),
    so a fused schedule is a deterministic function of the job list. *)
@@ -58,8 +51,6 @@ let fuse js =
           u_members = members })
     !order
 
-let unit_members u = u.u_members
-
 let unit_name u =
   match u.u_members with
   | [ (_, j) ] -> job_name j
@@ -72,17 +63,14 @@ let unit_name u =
       u.u_workload.Workload.wname
       (Workload.string_of_input u.u_input)
 
-let unit_fuel u = u.u_fuel
-
 let m_units = Obs.Metrics.counter "driver.units"
 let m_fused_units = Obs.Metrics.counter "driver.fused_units"
 
-let run_unit_with_fuel ~fuel:override u =
-  let fuel = match override with Some _ -> override | None -> u.u_fuel in
-  let prog = u.u_workload.Workload.wbuild u.u_input in
+let run_unit { u_workload; u_input; u_fuel = fuel; u_members } =
+  let prog = u_workload.Workload.wbuild u_input in
   Obs.Metrics.incr m_units;
   Obs.Trace.with_span ~cat:"driver" "driver.unit" @@ fun () ->
-  match u.u_members with
+  match u_members with
   | [ (i, Job { profiler = (module P); config; finish; _ }) ] ->
     (* solo units take the profiler's own entry point, exactly the
        pre-fusion code path *)
@@ -98,25 +86,17 @@ let run_unit_with_fuel ~fuel:override u =
     let f = Fused.run ?fuel prog items in
     List.map2 (fun (i, _) r -> (i, r)) members f.Fused.results
 
-let run_unit u = run_unit_with_fuel ~fuel:None u
-
-let fuse_units = fuse
-
-let units ~fuse js = if fuse then fuse_units js else solo js
-
 let scatter n per_unit =
   let slots = Array.make n None in
   List.iter (List.iter (fun (i, v) -> slots.(i) <- Some v)) per_unit;
   Array.to_list slots
   |> List.map (function Some v -> v | None -> assert false)
 
-let run_jobs ?jobs ?(fuse = true) js =
+let run_jobs ?jobs js =
   match js with
   | [] -> []
-  | _ ->
-    Pool.map ?jobs run_unit (units ~fuse js)
-    |> scatter (List.length js)
+  | _ -> Pool.map ?jobs run_unit (fuse js) |> scatter (List.length js)
 
-let plan ?(fuse = true) js = List.map unit_name (units ~fuse js)
+let plan js = List.map unit_name (fuse js)
 
 let default_jobs = Pool.default_jobs

@@ -34,52 +34,22 @@ val job :
 (** ["<profiler>:<workload>:<input>"], for logs and failure reports. *)
 val job_name : 'a job -> string
 
-(** {2 Fused units}
-
-    Jobs that share a [(workload, input, fuel)] key profile the {e same}
-    machine execution (instrumentation is additive, see {!Fused}), so the
-    scheduler groups them into units: one unit = one program build + one
-    machine run, serving every member job. *)
-
-(** A schedulable unit: one machine execution serving one or more jobs. *)
-type 'a funit
-
-(** Group jobs by [(workload name, input, fuel)]. Units come back in the
-    submission order of their first member; members stay in submission
-    order within a unit — the fused schedule is deterministic. *)
-val fuse : 'a job list -> 'a funit list
-
-(** One unit per job — the schedule [run_jobs ~fuse:false] uses. *)
-val solo : 'a job list -> 'a funit list
-
-(** The member jobs with their submission indices (ascending). *)
-val unit_members : 'a funit -> (int * 'a job) list
-
-(** [job_name] of a solo unit;
-    ["fused[p1+p2+…]:<workload>:<input>"] otherwise. *)
-val unit_name : 'a funit -> string
-
-(** The fuel shared by every member ([None] = the machine default). *)
-val unit_fuel : 'a funit -> int option
-
-(** Run one unit — one program build, one machine execution — and return
-    each member's finished result tagged with its submission index.
-    [fuel], when [Some], overrides the unit's own budget (the
-    supervisor's retry path). A solo unit takes the profiler's plain
-    [run] entry point, exactly the pre-fusion code path. *)
-val run_unit_with_fuel : fuel:int option -> 'a funit -> (int * 'a) list
-
 (** Run every job — across [jobs] domains when [jobs > 1], on the calling
     domain otherwise — and return the finished results in submission
     order. [jobs] defaults to {!Pool.default_jobs}; [0] means the same.
-    [fuse] (default [true]) coalesces jobs sharing a
-    [(workload, input, fuel)] key into one machine execution; the result
-    list is the same either way. *)
-val run_jobs : ?jobs:int -> ?fuse:bool -> 'a job list -> 'a list
+
+    Jobs that share a [(workload, input, fuel)] key profile the {e same}
+    machine execution (instrumentation is additive, see {!Fused}), so
+    they are grouped into units: one unit = one program build + one
+    machine run, serving every member job. Units are scheduled in the
+    submission order of their first member; a unit with one member takes
+    the profiler's plain [run] entry point. *)
+val run_jobs : ?jobs:int -> 'a job list -> 'a list
 
 (** The unit names [run_jobs] would execute, in schedule order — how the
-    CLI shows what fusion did. *)
-val plan : ?fuse:bool -> 'a job list -> string list
+    CLI shows what fusion did: the [job_name] of a one-member unit,
+    ["fused[p1+p2+…]:<workload>:<input>"] otherwise. *)
+val plan : 'a job list -> string list
 
 (** {!Pool.default_jobs}, re-exported so driver consumers need not depend
     on the pool directly. *)

@@ -32,15 +32,10 @@ let classify = function
 
 type policy = {
   retries : int;
-  fuel_timeout : int option;
-  max_fuel : int option;
-  jitter : float;
   on_error : [ `Skip | `Abort ];
 }
 
-let default_policy =
-  { retries = 1; fuel_timeout = None; max_fuel = None; jitter = 0.;
-    on_error = `Skip }
+let default_policy = { retries = 1; on_error = `Skip }
 
 type 'a outcome = {
   o_name : string;
@@ -75,35 +70,6 @@ let report_of outcomes =
   in
   { outcomes; completed; failed; cancelled }
 
-(* Fuel budget for the 0-based attempt [k]: the job's own base (else the
-   policy's), doubled per retry — backoff-in-fuel. Saturates instead of
-   overflowing; [policy.max_fuel] caps the widening so a pathological
-   job's final attempt cannot consume arbitrary fuel. [policy.jitter > 0]
-   additionally widens retry budgets by a factor in [1, 1 + jitter)
-   drawn from an Rng seeded by the job name and attempt index — a herd
-   of identical retried units stops re-timing-out in lockstep on exactly
-   the same budget, yet the draw depends on nothing but (name, k), so
-   reports stay schedule-independent and reproducible. *)
-let attempt_fuel policy ~name base k =
-  match (match base with Some _ -> base | None -> policy.fuel_timeout) with
-  | None -> None
-  | Some f ->
-    let widened = f lsl k in
-    let widened = if k >= 62 || widened < f then max_int else widened in
-    let jittered =
-      if policy.jitter <= 0. || k = 0 || widened = max_int then widened
-      else begin
-        let rng = Rng.create (Int64.of_int (Hashtbl.hash (name, k))) in
-        let factor = 1. +. (policy.jitter *. Rng.float rng) in
-        let v = int_of_float (float_of_int widened *. factor) in
-        if v < widened then max_int else v
-      end
-    in
-    Some
-      (match policy.max_fuel with
-       | Some m -> min jittered m
-       | None -> jittered)
-
 let m_sup_jobs = Obs.Metrics.counter "supervisor.jobs"
 let m_sup_retries = Obs.Metrics.counter "supervisor.retries"
 let m_sup_timeouts = Obs.Metrics.counter "supervisor.timeouts"
@@ -112,15 +78,15 @@ let m_sup_cancelled = Obs.Metrics.counter "supervisor.cancelled"
 let m_sup_deadline = Obs.Metrics.counter "supervisor.deadline"
 let m_sup_mem = Obs.Metrics.counter "supervisor.mem_pressure"
 
-(* The supervised core: every item is a (name, base_fuel, run) triple;
-   [run ~fuel] performs one attempt under the given budget. *)
+(* The supervised core: every item is a (name, run) pair; [run ()]
+   performs one attempt. *)
 let supervise ?(policy = default_policy) ?jobs items =
   let flag = Pool.cancellation () in
   let cancelled_outcome name =
     Obs.Metrics.incr m_sup_cancelled;
     { o_name = name; o_attempts = 0; o_result = Error Cancelled }
   in
-  let run_one (name, base, run) =
+  let run_one (name, run) =
     (* a worker may pop a job between a fatal failure and its cancel
        becoming visible; honour the flag here too *)
     if Pool.cancelled flag then cancelled_outcome name
@@ -135,7 +101,7 @@ let supervise ?(policy = default_policy) ?jobs items =
                   that never polls on its own still cannot start past
                   the deadline *)
                Budget.poll ();
-               run ~fuel:(attempt_fuel policy ~name base k))
+               run ())
             with
             | v -> { o_name = name; o_attempts = k + 1; o_result = Ok v }
             | exception e ->
@@ -172,7 +138,7 @@ let supervise ?(policy = default_policy) ?jobs items =
   let slots = Pool.map_result ?jobs ~cancel:flag run_one items in
   report_of
     (List.map2
-       (fun (name, _, _) slot ->
+       (fun (name, _) slot ->
          match slot with
          | Some (Ok outcome) -> outcome
          | Some (Error (e, bt)) ->
@@ -184,85 +150,63 @@ let supervise ?(policy = default_policy) ?jobs items =
          | None -> cancelled_outcome name)
        items slots)
 
+
 let map ?policy ?jobs ~name f items =
-  supervise ?policy ?jobs
-    (List.map (fun x -> (name x, None, fun ~fuel:_ -> f x)) items)
+  supervise ?policy ?jobs (List.map (fun x -> (name x, fun () -> f x)) items)
 
-let run_jobs ?policy ?jobs ?(fuse = true) djobs =
-  (* supervision works on fused units: one unit = one machine execution =
-     one retry/classification scope, however many jobs it serves. Unit
-     outcomes are then expanded back to per-job outcomes in submission
-     order — a unit's failure (or attempt count) is every member's. *)
-  let units = if fuse then Driver.fuse djobs else Driver.solo djobs in
-  let unit_report =
-    supervise ?policy ?jobs
-      (List.map
-         (fun u ->
-           ( Driver.unit_name u, Driver.unit_fuel u,
-             fun ~fuel -> Driver.run_unit_with_fuel ~fuel u ))
-         units)
+let m_commits = Obs.Metrics.counter "checkpoint.commits"
+
+(* Called from the worker that computed [payload], before the grid moves
+   on, so a crash later in the grid cannot lose it. *)
+let commit stores name payload =
+  match stores with
+  | [] -> ()
+  | _ ->
+    Obs.Metrics.incr m_commits;
+    Obs.Trace.with_span ~cat:"driver" "checkpoint.commit" @@ fun () ->
+    (* the kill-loop harness arms this to die between a job finishing
+       and the stores starting their commit sequence *)
+    Fault.point ~site:"checkpoint.commit";
+    List.iter
+      (fun (store, key) -> Store.put store ~key:(key name) ~payload)
+      stores
+
+let run_strings ?policy ?jobs ?(stores = []) ?(scope = fun _ run -> run ())
+    named =
+  (* each job is looked up once per store, in order, until one serves it *)
+  let looked_up =
+    List.map
+      (fun (name, f) ->
+        ( name, f,
+          List.find_map (fun (store, key) -> Store.get store (key name)) stores
+        ))
+      named
   in
-  let n = List.length djobs in
-  let slots = Array.make n None in
-  List.iter2
-    (fun u o ->
-      List.iter
-        (fun (i, j) ->
-          let o_result =
-            match o.o_result with
-            | Ok pairs -> Ok (List.assoc i pairs)
-            | Error e -> Error e
-          in
-          slots.(i) <-
-            Some { o_name = Driver.job_name j; o_attempts = o.o_attempts;
-                   o_result })
-        (Driver.unit_members u))
-    units unit_report.outcomes;
-  report_of
-    (Array.to_list slots
-    |> List.map (function Some o -> o | None -> assert false))
-
-let run_strings ?policy ?jobs ?checkpoint named =
-  match checkpoint with
-  | None ->
-    supervise ?policy ?jobs
-      (List.map (fun (name, f) -> (name, None, fun ~fuel:_ -> f ())) named)
-  | Some ck ->
-    (* committed jobs never re-enter the pool: their payloads are final.
-       Fresh jobs commit from the worker the moment they succeed, so a
-       crash later in the grid cannot lose them. *)
-    let fresh =
-      List.filter (fun (name, _) -> Checkpoint.find ck name = None) named
-    in
-    let fresh_report =
-      supervise ?policy ?jobs
-        (List.map
-           (fun (name, f) ->
-             ( name, None,
-               fun ~fuel:_ ->
-                 let payload = f () in
-                 Checkpoint.record ck ~name ~payload;
-                 payload ))
-           fresh)
-    in
-    let by_name =
-      List.map (fun o -> (o.o_name, o)) fresh_report.outcomes
-    in
-    report_of
-      (List.map
-         (fun (name, _) ->
-           match Checkpoint.find ck name with
-           | Some payload when not (List.mem_assoc name by_name) ->
-             (* committed before this run: served from the store *)
-             { o_name = name; o_attempts = 0; o_result = Ok payload }
-           | _ ->
-             (match List.assoc_opt name by_name with
-              | Some o -> o
-              | None ->
-                (* unreachable: every job is either cached or fresh *)
-                { o_name = name; o_attempts = 0; o_result = Error Cancelled }))
-         named)
-
-module Testing = struct
-  let attempt_fuel policy ~name ~base k = attempt_fuel policy ~name base k
-end
+  let fresh =
+    List.filter_map
+      (fun (name, f, cached) ->
+        match cached with
+        | Some _ -> None
+        | None ->
+          Some
+            ( name,
+              fun () ->
+                let payload = f () in
+                commit stores name payload;
+                payload ))
+      looked_up
+  in
+  let ran =
+    (scope (List.map fst fresh) @@ fun () -> supervise ?policy ?jobs fresh)
+      .outcomes
+  in
+  (* served payloads rejoin the fresh outcomes in submission order *)
+  let rec stitch ran = function
+    | [] -> []
+    | (name, _, Some payload) :: rest ->
+      { o_name = name; o_attempts = 0; o_result = Ok payload }
+      :: stitch ran rest
+    | (_, _, None) :: rest -> (
+      match ran with o :: ran -> o :: stitch ran rest | [] -> assert false)
+  in
+  report_of (stitch ran looked_up)

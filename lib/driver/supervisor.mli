@@ -7,10 +7,7 @@
     one cell, not hours of completed work. The supervisor wraps the pool
     so each job runs under a {!policy}:
 
-    - a failing attempt is {e retried}, with {e backoff-in-fuel}: each
-      retry doubles the attempt's instruction budget, so a
-      [Fuel_exhausted] timeout converges on a budget that fits instead of
-      failing forever;
+    - a failing attempt is {e retried} up to [policy.retries] times;
     - a job that exhausts its retries is recorded as a typed
       {!job_error} in the report — the grid keeps going ([`Skip]), or the
       pool's shared cancellation flag stops the remaining queue
@@ -26,7 +23,7 @@
 (** Why a job ultimately failed. *)
 type job_error =
   | Trap of Machine.trap  (** the workload trapped (division by zero, …) *)
-  | Timeout of int  (** fuel budget exhausted; carries the final budget *)
+  | Timeout of int  (** fuel budget exhausted; carries the budget *)
   | Io of string  (** [Sys_error] — filesystem trouble *)
   | Injected of string  (** {!Fault.Injected}; carries the site *)
   | Cancelled  (** never started: the grid was aborted first *)
@@ -45,27 +42,12 @@ val string_of_error : job_error -> string
 
 type policy = {
   retries : int;  (** extra attempts after the first (so [retries = 2] means up to 3 runs) *)
-  fuel_timeout : int option;
-      (** per-attempt instruction budget for jobs that don't carry their
-          own fuel; [None] leaves the machine default (no backoff
-          possible) *)
-  max_fuel : int option;
-      (** hard cap on any attempt's fuel budget: retry doubling saturates
-          here instead of growing unboundedly ([None] = uncapped, the
-          pre-governance behaviour) *)
-  jitter : float;
-      (** [> 0.] widens each {e retry}'s fuel budget by a factor in
-          [1, 1 + jitter), drawn deterministically from the job name and
-          attempt index — desynchronizes a herd of identical retried
-          units without sacrificing reproducibility. [0.] (default)
-          keeps exact doubling. *)
   on_error : [ `Skip | `Abort ];
       (** after retries are exhausted: record and continue, or trip the
           shared cancellation flag and stop the grid *)
 }
 
-(** [{ retries = 1; fuel_timeout = None; max_fuel = None; jitter = 0.;
-      on_error = `Skip }]. *)
+(** [{ retries = 1; on_error = `Skip }]. *)
 val default_policy : policy
 
 (** One job's fate. *)
@@ -90,8 +72,7 @@ val oks : 'a report -> 'a list
 val failures : 'a report -> 'a outcome list
 
 (** Generic supervised parallel map: [f] runs under retry and error
-    capture ([fuel_timeout] backoff only applies where the supervisor
-    controls fuel, i.e. {!run_jobs}). [name] labels each item's outcome. *)
+    capture. [name] labels each item's outcome. *)
 val map :
   ?policy:policy ->
   ?jobs:int ->
@@ -100,34 +81,21 @@ val map :
   'a list ->
   'b report
 
-(** Supervised {!Driver.run_jobs}: jobs coalesce into fused units (one
-    machine execution per [(workload, input, fuel)] key; [~fuse:false]
-    disables), and each {e unit} runs under the policy — one
-    classification and one retry scope per unit per attempt, a retry
-    re-running the whole unit. Retries widen the fuel budget (the unit's
-    own fuel, else [policy.fuel_timeout], doubles on every attempt). The
-    report still carries one outcome per {e job}, in submission order: a
-    fused unit's error and attempt count are replicated to each member. *)
-val run_jobs :
-  ?policy:policy -> ?jobs:int -> ?fuse:bool -> 'a Driver.job list -> 'a report
+(** The cached run of a grid of named string-payload jobs — the one path
+    behind checkpoint/resume and the profile store.
 
-(** Supervised map over string-payload jobs with optional
-    checkpoint/resume: a job already committed in [checkpoint] is not run
-    at all — its stored payload is returned with [o_attempts = 0] — and
-    every fresh completion is committed (from the worker, as it finishes)
-    before the grid moves on. *)
+    Each job is looked up once in [stores], in order, each store under
+    its own key for the job's name ({!Store.get}, so every lookup counts
+    [store.hits] or [store.misses]); the first hit is served with
+    [o_attempts = 0] and never runs. The misses run supervised inside
+    [scope] (called with their names, default: directly), and each fresh
+    payload is committed to every store from its worker as it finishes —
+    under the ["checkpoint.commit"] fault site, span and counter — before
+    the grid moves on. Outcomes come back in submission order. *)
 val run_strings :
   ?policy:policy ->
   ?jobs:int ->
-  ?checkpoint:Checkpoint.t ->
+  ?stores:(Store.t * (string -> string)) list ->
+  ?scope:(string list -> (unit -> string report) -> string report) ->
   (string * (unit -> string)) list ->
   string report
-
-(** Test-only window into the backoff arithmetic, so cap and jitter can
-    be asserted directly instead of through whole grid runs. *)
-module Testing : sig
-  (** [attempt_fuel policy ~name ~base k] is the fuel budget the
-      supervisor would give the 0-based attempt [k] of job [name]. *)
-  val attempt_fuel :
-    policy -> name:string -> base:int option -> int -> int option
-end

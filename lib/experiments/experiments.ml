@@ -111,12 +111,9 @@ type report = {
 
 type run_config = {
   rc_jobs : int option;
-  rc_fuel : int option;
   rc_retries : int;
-  rc_max_fuel : int option;
-  rc_jitter : float;
   rc_fail_fast : bool;
-  rc_checkpoint : Checkpoint.t option;
+  rc_checkpoint : Store.t option;
   rc_trace : string option;
   rc_metrics : string option;
   rc_shards : int;
@@ -125,10 +122,7 @@ type run_config = {
 
 let default_run_config =
   { rc_jobs = None;
-    rc_fuel = Supervisor.default_policy.Supervisor.fuel_timeout;
     rc_retries = Supervisor.default_policy.Supervisor.retries;
-    rc_max_fuel = Supervisor.default_policy.Supervisor.max_fuel;
-    rc_jitter = Supervisor.default_policy.Supervisor.jitter;
     rc_fail_fast = false;
     rc_checkpoint = None;
     rc_trace = None;
@@ -138,9 +132,6 @@ let default_run_config =
 
 let policy_of_config c =
   { Supervisor.retries = c.rc_retries;
-    fuel_timeout = c.rc_fuel;
-    max_fuel = c.rc_max_fuel;
-    jitter = c.rc_jitter;
     on_error = (if c.rc_fail_fast then `Abort else `Skip) }
 
 (* The units of a run are planned from the experiments that will actually
@@ -153,12 +144,12 @@ let run_spec_traced spec =
 
 (* The store key of a rendered experiment: the unit of cross-invocation
    reuse is the whole rendered payload, fingerprinted by everything that
-   could change its bytes (the spec plus the fuel and shard knobs). *)
-let spec_key (c : run_config) (spec : spec) =
+   could change its bytes (the spec plus the shard knob). *)
+let spec_key (c : run_config) id =
   Store.Fingerprint.(
     key
-      (make ?fuel:c.rc_fuel ~shards:c.rc_shards ~profiler:"experiment"
-         ~workload:spec.id ~input:"suite" ()))
+      (make ~shards:c.rc_shards ~profiler:"experiment" ~workload:id
+         ~input:"suite" ()))
 
 let run ?(config = default_run_config) specs =
   Obs.with_sinks ~trace:config.rc_trace ~metrics:config.rc_metrics
@@ -189,72 +180,20 @@ let run_strings ?(config = default_run_config) specs =
   @@ fun () ->
   Harness.set_shards config.rc_shards;
   Harness.set_store config.rc_store;
-  (* [jobs] pairs each spec to run with its job; experiments already
-     committed to the checkpoint are served without running, so they add
-     nothing to the plan *)
-  let supervise jobs =
-    let fresh =
-      match config.rc_checkpoint with
-      | None -> jobs
-      | Some ck ->
-        List.filter (fun (spec, _) -> Checkpoint.find ck spec.id = None) jobs
-    in
-    planned (List.map fst fresh) @@ fun () ->
-    Supervisor.run_strings ~policy:(policy_of_config config)
-      ?jobs:config.rc_jobs ?checkpoint:config.rc_checkpoint
-      (List.map (fun (spec, job) -> (spec.id, job)) jobs)
+  (* the checkpoint is keyed by experiment id, the profile store by the
+     fingerprint; experiments either serves add nothing to the plan *)
+  let stores =
+    List.filter_map Fun.id
+      [ Option.map (fun ck -> (ck, Fun.id)) config.rc_checkpoint;
+        Option.map (fun st -> (st, spec_key config)) config.rc_store ]
   in
-  match config.rc_store with
-  | None ->
-    supervise
-      (List.map
-         (fun spec -> (spec, fun () -> render spec (run_spec_traced spec)))
-         specs)
-  | Some store ->
-    (* The driver consults the store before scheduling a unit: a hit is
-       served without executing anything (reported with [o_attempts = 0],
-       like a checkpoint-cached job), a miss runs and commits its payload
-       as it lands, so a killed run still keeps its finished units. *)
-    let keyed = List.map (fun spec -> (spec, spec_key config spec)) specs in
-    let served =
-      List.map (fun (spec, key) -> (spec, key, Store.get store key)) keyed
-    in
-    let rep =
-      supervise
-        (List.filter_map
-           (fun (spec, key, cached) ->
-             match cached with
-             | Some _ -> None
-             | None ->
-               Some
-                 ( spec,
-                   fun () ->
-                     let payload = render spec (run_spec_traced spec) in
-                     Store.put store ~key ~payload;
-                     payload ))
-           served)
-    in
-    (* stitch hits back in, in submission order *)
-    let misses = ref rep.Supervisor.outcomes in
-    let outcomes =
-      List.map
-        (fun (spec, _, cached) ->
-          match cached with
-          | Some payload ->
-            { Supervisor.o_name = spec.id; o_attempts = 0; o_result = Ok payload }
-          | None -> (
-            match !misses with
-            | o :: rest ->
-              misses := rest;
-              o
-            | [] -> assert false))
-        served
-    in
-    let hits = List.length specs - List.length rep.Supervisor.outcomes in
-    { Supervisor.outcomes;
-      completed = rep.Supervisor.completed + hits;
-      failed = rep.Supervisor.failed;
-      cancelled = rep.Supervisor.cancelled }
+  let by_id id = List.find (fun s -> s.id = id) specs in
+  Supervisor.run_strings ~policy:(policy_of_config config)
+    ?jobs:config.rc_jobs ~stores
+    ~scope:(fun fresh -> planned (List.map by_id fresh))
+    (List.map
+       (fun spec -> (spec.id, fun () -> render spec (run_spec_traced spec)))
+       specs)
 
 let string_of_failure f =
   Printf.sprintf "experiment %s FAILED after %d attempt%s: %s" f.f_spec.id

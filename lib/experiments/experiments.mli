@@ -47,13 +47,11 @@ val string_of_failure : failure -> string
     threading separate [?policy]/[?jobs]/[?checkpoint] options. *)
 type run_config = {
   rc_jobs : int option;  (** worker pool size; [None] = recommended count *)
-  rc_fuel : int option;  (** per-attempt fuel budget; [None] = unlimited *)
   rc_retries : int;  (** extra attempts per experiment after the first *)
-  rc_max_fuel : int option;
-      (** cap on retry fuel-doubling (see {!Supervisor.policy}) *)
-  rc_jitter : float;  (** retry-backoff jitter fraction; [0.] = exact *)
   rc_fail_fast : bool;  (** abort the suite on the first hard failure *)
-  rc_checkpoint : Checkpoint.t option;  (** crash-safe resume store *)
+  rc_checkpoint : Store.t option;
+      (** crash-safe resume store, keyed by experiment id: {!run_strings}
+          serves committed experiments and commits fresh ones *)
   rc_trace : string option;  (** write a Chrome trace of the run here *)
   rc_metrics : string option;  (** write a registry snapshot here *)
   rc_shards : int;
@@ -66,7 +64,7 @@ type run_config = {
           machines (see {!Harness.set_store}) *)
 }
 
-(** Serial, one retry, no fuel limit, no checkpoint, no sinks. *)
+(** Serial, one retry, no checkpoint, no store, no sinks. *)
 val default_run_config : run_config
 
 (** Run a subset of the suite under supervision (see {!Supervisor}): each
@@ -76,14 +74,12 @@ val default_run_config : run_config
     (tracing is enabled for exactly this run). *)
 val run : ?config:run_config -> spec list -> report
 
-(** Supervised run yielding each experiment's {!render}ed bytes, with
-    crash-safe checkpoint/resume when [rc_checkpoint] is set (see
-    {!Checkpoint}): committed experiments are served from the store
-    without rerunning; fresh ones are committed as they finish.
-
-    With [rc_store] set, each experiment is additionally fingerprinted
-    ({!Store.Fingerprint}) and looked up before scheduling: a hit is
-    served with [o_attempts = 0] and zero machine executions, a miss
-    runs and commits its rendered bytes to the store — so a repeated
-    grid is near-instant and byte-identical. *)
+(** Supervised run yielding each experiment's {!render}ed bytes through
+    {!Supervisor.run_strings}, with [rc_checkpoint] (keyed by id) and
+    then [rc_store] (keyed by the experiment's {!Store.Fingerprint}) as
+    its stores: an experiment either one holds is served with
+    [o_attempts = 0], no machine execution and nothing added to the plan;
+    the others are planned, run and committed to both as they finish —
+    so a killed run resumes, and a repeated grid is near-instant and
+    byte-identical. *)
 val run_strings : ?config:run_config -> spec list -> string Supervisor.report

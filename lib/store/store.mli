@@ -153,9 +153,9 @@ val generation : t -> int
     new value. Call once per writing invocation. *)
 val new_generation : t -> int
 
-(** Uncounted lookup (no hit/miss telemetry, no read-repair) — the
-    checkpoint-resume path, where the supervisor already reports
-    cached-vs-run. *)
+(** Uncounted lookup (no hit/miss telemetry, no read-repair), for
+    inspecting a store ([vprof store get]) rather than serving from it;
+    serving paths, checkpoint resume included, use {!get}. *)
 val find : t -> string -> string option
 
 (** Counted lookup: increments [store.hits] or [store.misses] under a

@@ -1,7 +1,7 @@
-(* Checkpoint store: commit/reload roundtrip, salvage of torn manifests,
-   distrust of corrupt payloads, and the headline property — a run killed
-   by an injected fault resumes to byte-identical output without
-   recomputing committed jobs. *)
+(* A checkpoint is a directory {!Store} keyed by job name: commit/reload
+   roundtrip, salvage of torn manifests, distrust of corrupt payloads,
+   and the headline property — a run killed by an injected fault resumes
+   to byte-identical output without recomputing committed jobs. *)
 
 let with_faults f = Fun.protect ~finally:Fault.disarm f
 
@@ -24,6 +24,10 @@ let with_store f =
 
 let manifest dir = Filename.concat dir "manifest"
 
+let entries ck = (Store.stats ck).Store.st_entries
+
+let checkpoint ck = [ (ck, Fun.id) ]
+
 let read_text path =
   let ic = open_in_bin path in
   Fun.protect
@@ -36,86 +40,86 @@ let write_text path text =
 
 let test_record_reload_roundtrip () =
   with_store (fun dir ->
-      let ck = Checkpoint.create ~resume:false dir in
-      Checkpoint.record ck ~name:"a" ~payload:"hello\nworld\n";
-      Checkpoint.record ck ~name:"name with spaces" ~payload:"";
-      Alcotest.(check int) "committed" 2 (Checkpoint.completed ck);
+      let ck = Store.open_dir ~reset:true dir in
+      Store.put ck ~key:"a" ~payload:"hello\nworld\n";
+      Store.put ck ~key:"name with spaces" ~payload:"";
+      Alcotest.(check int) "committed" 2 (entries ck);
       Alcotest.(check (option string)) "find a" (Some "hello\nworld\n")
-        (Checkpoint.find ck "a");
+        (Store.find ck "a");
       (* a fresh handle sees exactly what was committed *)
-      let ck' = Checkpoint.create ~resume:true dir in
-      Alcotest.(check int) "reloaded" 2 (Checkpoint.completed ck');
+      let ck' = Store.open_dir ~reset:false dir in
+      Alcotest.(check int) "reloaded" 2 (entries ck');
       Alcotest.(check (option string)) "payload survives" (Some "hello\nworld\n")
-        (Checkpoint.find ck' "a");
+        (Store.find ck' "a");
       Alcotest.(check (option string)) "escaped name survives" (Some "")
-        (Checkpoint.find ck' "name with spaces");
+        (Store.find ck' "name with spaces");
       Alcotest.(check (option string)) "unknown name" None
-        (Checkpoint.find ck' "b"))
+        (Store.find ck' "b"))
 
 let test_fresh_start_ignores_old_entries () =
   with_store (fun dir ->
-      let ck = Checkpoint.create ~resume:false dir in
-      Checkpoint.record ck ~name:"a" ~payload:"x";
-      let ck' = Checkpoint.create ~resume:false dir in
+      let ck = Store.open_dir ~reset:true dir in
+      Store.put ck ~key:"a" ~payload:"x";
+      let ck' = Store.open_dir ~reset:true dir in
       Alcotest.(check int) "resume:false starts empty" 0
-        (Checkpoint.completed ck');
+        (entries ck');
       Alcotest.(check (option string)) "old entry gone" None
-        (Checkpoint.find ck' "a"))
+        (Store.find ck' "a"))
 
 let test_torn_manifest_tail_dropped () =
   with_store (fun dir ->
-      let ck = Checkpoint.create ~resume:false dir in
-      Checkpoint.record ck ~name:"first" ~payload:"p1";
-      Checkpoint.record ck ~name:"second" ~payload:"p2";
+      let ck = Store.open_dir ~reset:true dir in
+      Store.put ck ~key:"first" ~payload:"p1";
+      Store.put ck ~key:"second" ~payload:"p2";
       (* tear the manifest mid-way through its last line, as a crash
          during a non-atomic write would *)
       let text = read_text (manifest dir) in
       write_text (manifest dir) (String.sub text 0 (String.length text - 5));
-      let ck' = Checkpoint.create ~resume:true dir in
-      Alcotest.(check int) "torn entry dropped" 1 (Checkpoint.completed ck');
+      let ck' = Store.open_dir ~reset:false dir in
+      Alcotest.(check int) "torn entry dropped" 1 (entries ck');
       Alcotest.(check (option string)) "earlier entry survives" (Some "p1")
-        (Checkpoint.find ck' "first");
+        (Store.find ck' "first");
       Alcotest.(check (option string)) "torn entry not trusted" None
-        (Checkpoint.find ck' "second"))
+        (Store.find ck' "second"))
 
 let test_garbage_manifest_line_stops_load () =
   with_store (fun dir ->
-      let ck = Checkpoint.create ~resume:false dir in
-      Checkpoint.record ck ~name:"a" ~payload:"p";
+      let ck = Store.open_dir ~reset:true dir in
+      Store.put ck ~key:"a" ~payload:"p";
       let text = read_text (manifest dir) in
       write_text (manifest dir) (text ^ "done not-a-real-entry\n");
-      let ck' = Checkpoint.create ~resume:true dir in
+      let ck' = Store.open_dir ~reset:false dir in
       Alcotest.(check int) "checksummed prefix kept" 1
-        (Checkpoint.completed ck'))
+        (entries ck'))
 
 let test_corrupt_payload_not_trusted () =
   with_store (fun dir ->
-      let ck = Checkpoint.create ~resume:false dir in
-      Checkpoint.record ck ~name:"job" ~payload:"precious bytes";
+      let ck = Store.open_dir ~reset:true dir in
+      Store.put ck ~key:"job" ~payload:"precious bytes";
       (* flip the payload file behind the manifest's back *)
       let out =
         Sys.readdir dir |> Array.to_list
         |> List.find (fun f -> Filename.check_suffix f ".out")
       in
       write_text (Filename.concat dir out) "precious bytEs";
-      let ck' = Checkpoint.create ~resume:true dir in
+      let ck' = Store.open_dir ~reset:false dir in
       Alcotest.(check (option string)) "checksum rejects the payload" None
-        (Checkpoint.find ck' "job");
+        (Store.find ck' "job");
       Alcotest.(check int) "entry treated as never completed" 0
-        (Checkpoint.completed ck'))
+        (entries ck'))
 
 let test_truncated_payload_not_trusted () =
   with_store (fun dir ->
-      let ck = Checkpoint.create ~resume:false dir in
-      Checkpoint.record ck ~name:"job" ~payload:"precious bytes";
+      let ck = Store.open_dir ~reset:true dir in
+      Store.put ck ~key:"job" ~payload:"precious bytes";
       let out =
         Sys.readdir dir |> Array.to_list
         |> List.find (fun f -> Filename.check_suffix f ".out")
       in
       write_text (Filename.concat dir out) "precious";
-      let ck' = Checkpoint.create ~resume:true dir in
+      let ck' = Store.open_dir ~reset:false dir in
       Alcotest.(check (option string)) "size check rejects the payload" None
-        (Checkpoint.find ck' "job"))
+        (Store.find ck' "job"))
 
 (* Satellite property: a committed store whose manifest is cut at EVERY
    byte offset either loads a salvaged prefix or fails cleanly — each
@@ -125,12 +129,12 @@ let test_truncated_payload_not_trusted () =
 let committed = [ ("alpha", "payload one\n"); ("beta two", "p2\x00bin") ]
 
 let check_salvage ~ctx ck' =
-  let n = Checkpoint.completed ck' in
+  let n = entries ck' in
   Alcotest.(check bool) (ctx ^ ": no more entries than committed") true
     (n <= List.length committed);
   let found =
     List.map (fun (name, payload) ->
-        match Checkpoint.find ck' name with
+        match Store.find ck' name with
         | None -> false
         | Some got ->
           Alcotest.(check string) (ctx ^ ": " ^ name ^ " byte-equal") payload
@@ -150,20 +154,20 @@ let check_salvage ~ctx ck' =
 
 let test_manifest_cut_at_every_offset () =
   with_store (fun dir ->
-      let ck = Checkpoint.create ~resume:false dir in
+      let ck = Store.open_dir ~reset:true dir in
       List.iter
-        (fun (name, payload) -> Checkpoint.record ck ~name ~payload)
+        (fun (name, payload) -> Store.put ck ~key:name ~payload)
         committed;
       let text = read_text (manifest dir) in
       for cut = 0 to String.length text do
         write_text (manifest dir) (String.sub text 0 cut);
-        let ck' = Checkpoint.create ~resume:true dir in
+        let ck' = Store.open_dir ~reset:false dir in
         check_salvage ~ctx:(Printf.sprintf "cut at %d" cut) ck'
       done;
       (* the intact manifest still loads everything *)
       write_text (manifest dir) text;
       Alcotest.(check int) "intact manifest loads all" (List.length committed)
-        (Checkpoint.completed (Checkpoint.create ~resume:true dir)))
+        (entries (Store.open_dir ~reset:false dir)))
 
 (* The same property, under random payloads (arbitrary bytes, newlines
    included) and a random cut offset. *)
@@ -173,21 +177,21 @@ let prop_truncated_manifest_salvages_cleanly =
     QCheck.(pair (small_list string) small_nat)
     (fun (payloads, cutpick) ->
       with_store (fun dir ->
-          let ck = Checkpoint.create ~resume:false dir in
+          let ck = Store.open_dir ~reset:true dir in
           let named =
             List.mapi (fun i p -> (Printf.sprintf "job-%d" i, p)) payloads
           in
           List.iter
-            (fun (name, payload) -> Checkpoint.record ck ~name ~payload)
+            (fun (name, payload) -> Store.put ck ~key:name ~payload)
             named;
           let text = read_text (manifest dir) in
           let cut = cutpick mod (String.length text + 1) in
           write_text (manifest dir) (String.sub text 0 cut);
-          let ck' = Checkpoint.create ~resume:true dir in
-          Checkpoint.completed ck' <= List.length named
+          let ck' = Store.open_dir ~reset:false dir in
+          entries ck' <= List.length named
           && List.for_all
                (fun (name, payload) ->
-                 match Checkpoint.find ck' name with
+                 match Store.find ck' name with
                  | None -> true
                  | Some got -> String.equal got payload)
                named))
@@ -197,7 +201,7 @@ let test_rejects_file_as_dir () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      match Checkpoint.create ~resume:false path with
+      match Store.open_dir ~reset:true path with
       | _ -> Alcotest.fail "expected Sys_error"
       | exception Sys_error _ -> ())
 
@@ -223,21 +227,24 @@ let test_kill_and_resume_byte_identical () =
           (* the crashed run: job b's only attempt dies, the grid aborts *)
           Fault.arm ~site:"supervisor.job" ~at:2 ();
           let policy =
-            { Supervisor.default_policy with retries = 0; on_error = `Abort }
+            { Supervisor.retries = 0; on_error = `Abort }
           in
-          let ck = Checkpoint.create ~resume:false dir in
+          let ck = Store.open_dir ~reset:true dir in
           let rep =
-            Supervisor.run_strings ~policy ~jobs:1 ~checkpoint:ck (jobs ())
+            Supervisor.run_strings ~policy ~jobs:1 ~stores:(checkpoint ck)
+              (jobs ())
           in
           Alcotest.(check int) "a committed before the crash" 1
             rep.Supervisor.completed;
           Alcotest.(check int) "b failed" 1 rep.Supervisor.failed;
           Alcotest.(check int) "c cancelled" 1 rep.Supervisor.cancelled;
           Alcotest.(check int) "store holds the survivor" 1
-            (Checkpoint.completed ck));
+            (entries ck));
       (* the resumed run, fault disarmed — as after a process restart *)
-      let ck = Checkpoint.create ~resume:true dir in
-      let rep = Supervisor.run_strings ~jobs:1 ~checkpoint:ck (jobs ()) in
+      let ck = Store.open_dir ~reset:false dir in
+      let rep =
+        Supervisor.run_strings ~jobs:1 ~stores:(checkpoint ck) (jobs ())
+      in
       Alcotest.(check int) "everything completed" 3 rep.Supervisor.completed;
       Alcotest.(check string) "output byte-identical to fault-free run"
         reference (concat rep);
@@ -308,20 +315,21 @@ let test_fused_grid_kill_and_resume_byte_identical () =
           (* kill the grid on its second job *)
           Fault.arm ~site:"supervisor.job" ~at:2 ();
           Harness.clear_cache ();
-          let ck = Checkpoint.create ~resume:false dir in
+          let ck = Store.open_dir ~reset:true dir in
           let rep =
             Supervisor.run_strings
               ~policy:
-                { Supervisor.default_policy with retries = 0;
-                  on_error = `Abort }
-              ~jobs:1 ~checkpoint:ck (jobs ())
+                { Supervisor.retries = 0; on_error = `Abort }
+              ~jobs:1 ~stores:(checkpoint ck) (jobs ())
           in
           Alcotest.(check int) "first job committed before the crash" 1
             rep.Supervisor.completed);
       (* resume after a "restart": cold cache, fault disarmed *)
       Harness.clear_cache ();
-      let ck = Checkpoint.create ~resume:true dir in
-      let rep = Supervisor.run_strings ~jobs:1 ~checkpoint:ck (jobs ()) in
+      let ck = Store.open_dir ~reset:false dir in
+      let rep =
+        Supervisor.run_strings ~jobs:1 ~stores:(checkpoint ck) (jobs ())
+      in
       Alcotest.(check int) "everything completed" 3 rep.Supervisor.completed;
       Alcotest.(check string) "resumed output byte-identical" reference
         (concat rep);
@@ -336,15 +344,15 @@ let test_fused_grid_kill_and_resume_byte_identical () =
 
 let test_run_strings_commits_as_it_goes () =
   with_store (fun dir ->
-      let ck = Checkpoint.create ~resume:false dir in
+      let ck = Store.open_dir ~reset:true dir in
       let rep =
-        Supervisor.run_strings ~jobs:2 ~checkpoint:ck
+        Supervisor.run_strings ~jobs:2 ~stores:(checkpoint ck)
           [ ("x", fun () -> "X"); ("y", fun () -> "Y") ]
       in
       Alcotest.(check int) "completed" 2 rep.Supervisor.completed;
-      Alcotest.(check int) "both committed" 2 (Checkpoint.completed ck);
+      Alcotest.(check int) "both committed" 2 (entries ck);
       Alcotest.(check (option string)) "payload stored" (Some "X")
-        (Checkpoint.find ck "x"))
+        (Store.find ck "x"))
 
 let suite =
   [ Alcotest.test_case "record/reload roundtrip" `Quick

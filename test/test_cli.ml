@@ -116,6 +116,15 @@ let test_unknown_experiment_fails () =
   let code, _ = run_cli "experiment e99" in
   Alcotest.(check int) "usage errors exit 2" 2 code
 
+(* experiment runs take no fuel budget (--deadline bounds a runaway
+   suite), so the flag is a usage error rather than silently ignored *)
+let test_experiments_reject_fuel () =
+  List.iter
+    (fun cmd ->
+      let code, _ = run_cli (cmd ^ " e01 --fuel 10") in
+      Alcotest.(check int) (cmd ^ " --fuel exits 2") 2 code)
+    [ "experiments"; "experiment" ]
+
 let test_bad_flag_usage_error () =
   let code, _ = run_cli "run --no-such-flag" in
   Alcotest.(check int) "cmdliner usage errors exit 2" 2 code
@@ -577,4 +586,6 @@ let suite =
     Alcotest.test_case "fused unknown profiler lists the known ones" `Quick
       test_fused_unknown_profiler_lists_known;
     Alcotest.test_case "every profiler subcommand prints --stats" `Slow
-      test_every_profiler_subcommand_prints_stats ]
+      test_every_profiler_subcommand_prints_stats;
+    Alcotest.test_case "experiments reject --fuel" `Quick
+      test_experiments_reject_fuel ]

@@ -19,9 +19,16 @@ let test_pool_map_matches_serial () =
 let test_pool_exception_deterministic () =
   (* the lowest-indexed failure must surface, whatever the schedule *)
   let f x = if x mod 2 = 1 then failwith (string_of_int x) else x in
-  match Pool.map ~jobs:4 f [ 0; 2; 5; 4; 3; 7 ] with
-  | _ -> Alcotest.fail "expected an exception"
-  | exception Failure m -> Alcotest.(check string) "first failing item" "5" m
+  (match Pool.map ~jobs:4 f [ 0; 2; 5; 4; 3; 7 ] with
+   | _ -> Alcotest.fail "expected an exception"
+   | exception Failure m -> Alcotest.(check string) "first failing item" "5" m);
+  (* the queue drains before the re-raise *)
+  let ran = Atomic.make 0 in
+  let f x = Atomic.incr ran; if x = 0 then failwith "boom" else x in
+  (match Pool.map ~jobs:2 f (List.init 16 Fun.id) with
+   | _ -> Alcotest.fail "expected the failure to surface"
+   | exception Failure _ -> ());
+  Alcotest.(check int) "every item ran" 16 (Atomic.get ran)
 
 exception Worker_boom of int
 
@@ -40,26 +47,6 @@ let test_pool_exception_carries_backtrace () =
     let bt = Printexc.get_backtrace () in
     Alcotest.(check bool) "raising frame preserved" true
       (Astring_contains.contains bt "test_driver.ml")
-
-let test_pool_fail_fast_abandons_queue () =
-  (* item 0 fails instantly while everything else dawdles: with fail_fast
-     the workers stop pulling, so most of the queue never runs *)
-  let ran = Atomic.make 0 in
-  let f x =
-    Atomic.incr ran;
-    if x = 0 then failwith "boom" else (Unix.sleepf 0.002; x)
-  in
-  (match Pool.map ~jobs:2 ~fail_fast:true f (List.init 64 Fun.id) with
-   | _ -> Alcotest.fail "expected the failure to surface"
-   | exception Failure m -> Alcotest.(check string) "the failure" "boom" m);
-  Alcotest.(check bool) "queue abandoned" true (Atomic.get ran < 64);
-  (* the default still drains the queue before re-raising *)
-  let ran = Atomic.make 0 in
-  let f x = Atomic.incr ran; if x = 0 then failwith "boom" else x in
-  (match Pool.map ~jobs:2 f (List.init 16 Fun.id) with
-   | _ -> Alcotest.fail "expected the failure to surface"
-   | exception Failure _ -> ());
-  Alcotest.(check int) "default drains the queue" 16 (Atomic.get ran)
 
 let test_pool_map_result_slots () =
   let slots =
@@ -130,31 +117,6 @@ let test_memo_clear () =
   Alcotest.(check int) "counter reset" 0 (Memo_cache.computations cache);
   Alcotest.(check int) "recomputes after clear" 2
     (Memo_cache.find_or_compute cache "k" (fun () -> 2))
-
-let test_memo_bound_evicts_lru () =
-  let cache : (int, int) Memo_cache.t = Memo_cache.create ~max_entries:2 () in
-  let e0 =
-    Obs.Metrics.counter_value (Obs.Metrics.counter "memo.evictions")
-  in
-  ignore (Memo_cache.find_or_compute cache 1 (fun () -> 10));
-  ignore (Memo_cache.find_or_compute cache 2 (fun () -> 20));
-  (* touch 1 so 2 is the least recently used when 3 arrives *)
-  ignore (Memo_cache.find_or_compute cache 1 (fun () -> Alcotest.fail "hit"));
-  ignore (Memo_cache.find_or_compute cache 3 (fun () -> 30));
-  Alcotest.(check int) "one eviction counted" (e0 + 1)
-    (Obs.Metrics.counter_value (Obs.Metrics.counter "memo.evictions"));
-  (* the recently-used entry survived, the stale one recomputes *)
-  Alcotest.(check int) "recently-used survives" 10
-    (Memo_cache.find_or_compute cache 1 (fun () -> Alcotest.fail "hit"));
-  Alcotest.(check int) "evicted key recomputes" 21
-    (Memo_cache.find_or_compute cache 2 (fun () -> 21));
-  Alcotest.(check int) "computations counted" 4
-    (Memo_cache.computations cache)
-
-let test_memo_bound_rejects_nonpositive () =
-  match Memo_cache.create ~max_entries:0 () with
-  | (_ : (int, int) Memo_cache.t) -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
 
 let test_memo_unbounded_never_evicts () =
   let cache : (int, int) Memo_cache.t = Memo_cache.create () in
@@ -277,9 +239,12 @@ let test_fuse_coalesces_shared_executions () =
   let fused = Driver.run_jobs (jobs ()) in
   Alcotest.(check int) "one build serves the fused unit" 1
     (Atomic.get builds);
-  let solo = Driver.run_jobs ~fuse:false (jobs ()) in
-  Alcotest.(check int) "one build per job when not fused" 4
-    (Atomic.get builds);
+  let prog = w.Workload.wbuild Workload.Test in
+  let solo =
+    [ (Profile.Profiler.run prog).Profile.profiled_events;
+      (Memprof.Profiler.run prog).Memprof.tracked_events;
+      (Regprof.Profiler.run prog).Regprof.total_writes ]
+  in
   Alcotest.(check (list int)) "fused results equal solo" solo fused
 
 let test_plan_names_fused_units () =
@@ -291,9 +256,6 @@ let test_plan_names_fused_units () =
   Alcotest.(check (list string)) "fused plan, first-occurrence order"
     [ "fused[profile+memory]:wa:test"; "profile:wb:test" ]
     (Driver.plan js);
-  Alcotest.(check (list string)) "solo plan is one unit per job"
-    [ "profile:wa:test"; "profile:wb:test"; "memory:wa:test" ]
-    (Driver.plan ~fuse:false js);
   let fueled =
     Driver.job (module Profile.Profiler) ~fuel:100_000 ~finish:ignore wa
       Workload.Test
@@ -331,8 +293,6 @@ let suite =
       test_pool_exception_deterministic;
     Alcotest.test_case "pool exception carries backtrace" `Quick
       test_pool_exception_carries_backtrace;
-    Alcotest.test_case "pool fail-fast abandons the queue" `Quick
-      test_pool_fail_fast_abandons_queue;
     Alcotest.test_case "pool map_result slots" `Quick
       test_pool_map_result_slots;
     Alcotest.test_case "pool map_result honours pre-set cancel" `Quick
@@ -342,10 +302,6 @@ let suite =
     Alcotest.test_case "memo failure not cached" `Quick
       test_memo_failure_not_cached;
     Alcotest.test_case "memo clear" `Quick test_memo_clear;
-    Alcotest.test_case "memo bound evicts lru" `Quick
-      test_memo_bound_evicts_lru;
-    Alcotest.test_case "memo bound rejects nonpositive" `Quick
-      test_memo_bound_rejects_nonpositive;
     Alcotest.test_case "memo unbounded never evicts" `Quick
       test_memo_unbounded_never_evicts;
     Alcotest.test_case "profiler adapters match direct runs" `Slow

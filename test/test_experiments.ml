@@ -187,6 +187,80 @@ let test_store_serves_repeat_suite () =
       Alcotest.(check int) "warm report counts it completed" 1
         warm.Supervisor.completed)
 
+(* Checkpoint and store are two stores of one cached path: A is committed
+   only in the checkpoint (keyed by id), B only in the store (keyed by
+   fingerprint). Both are served without running and add nothing to the
+   plan, every other experiment runs and lands in both, and the bytes are
+   those of a cache-free run. A = e14 and B = e13 are the only readers of
+   the sampler and procedure-profile needs, so planning either would
+   attach those profilers to the units e02/e03 execute. *)
+let test_checkpoint_and_store_one_cached_path () =
+  let ids = [ "e14"; "e13"; "e02"; "e03" ] in
+  let specs = List.map Experiments.find ids in
+  let rest = [ Experiments.find "e02"; Experiments.find "e03" ] in
+  let config = { Experiments.default_run_config with rc_jobs = Some 1 } in
+  let payloads rep = Supervisor.oks rep in
+  Fun.protect
+    ~finally:(fun () ->
+      Harness.set_store None;
+      Harness.clear_cache ())
+    (fun () ->
+      Harness.clear_cache ();
+      let reference = payloads (Experiments.run_strings ~config specs) in
+      Harness.clear_cache ();
+      ignore (Experiments.run_strings ~config rest);
+      let rest_runs = Harness.machine_runs () in
+      let ck = Store.create_mem () and store = Store.create_mem () in
+      Store.put ck ~key:"e14" ~payload:(List.nth reference 0);
+      Harness.clear_cache ();
+      ignore
+        (Experiments.run_strings
+           ~config:{ config with rc_store = Some store }
+           [ Experiments.find "e13" ]);
+      Alcotest.(check int) "B alone in the store" 1
+        (Store.stats store).Store.st_entries;
+      let both =
+        { config with rc_checkpoint = Some ck; rc_store = Some store }
+      in
+      Harness.clear_cache ();
+      let h0 = counter_value "store.hits" in
+      let sample0 = counter_value "profiler.sample.runs" in
+      let procs0 = counter_value "profiler.procs.runs" in
+      let rep = Experiments.run_strings ~config:both specs in
+      Alcotest.(check (list int)) "A and B served, the rest run"
+        [ 0; 0; 1; 1 ]
+        (List.map
+           (fun (o : _ Supervisor.outcome) -> o.Supervisor.o_attempts)
+           rep.Supervisor.outcomes);
+      Alcotest.(check (list string)) "byte-identical to a cache-free run"
+        reference (payloads rep);
+      Alcotest.(check int) "one store hit per served experiment" (h0 + 2)
+        (counter_value "store.hits");
+      Alcotest.(check int) "served experiments add no unit" rest_runs
+        (Harness.machine_runs ());
+      Alcotest.(check int) "A's sampler was not planned" sample0
+        (counter_value "profiler.sample.runs");
+      Alcotest.(check int) "B's procedure profile was not planned" procs0
+        (counter_value "profiler.procs.runs");
+      List.iter2
+        (fun id payload ->
+          Alcotest.(check (option string)) (id ^ " committed to the checkpoint")
+            (Some payload) (Store.find ck id))
+        [ "e02"; "e03" ]
+        [ List.nth reference 2; List.nth reference 3 ];
+      Harness.clear_cache ();
+      let warm =
+        Experiments.run_strings ~config:{ config with rc_store = Some store }
+          rest
+      in
+      Alcotest.(check (list int)) "the rest committed to the store" [ 0; 0 ]
+        (List.map
+           (fun (o : _ Supervisor.outcome) -> o.Supervisor.o_attempts)
+           warm.Supervisor.outcomes);
+      Alcotest.(check (list string)) "stored bytes are the reference"
+        [ List.nth reference 2; List.nth reference 3 ]
+        (payloads warm))
+
 let test_harness_store_serves_profiles () =
   let store = Store.create_mem () in
   Fun.protect
@@ -332,6 +406,8 @@ let suite =
     Alcotest.test_case "harness cache" `Quick test_harness_cache;
     Alcotest.test_case "store serves repeat suite" `Quick
       test_store_serves_repeat_suite;
+    Alcotest.test_case "checkpoint and store share one cached path" `Slow
+      test_checkpoint_and_store_one_cached_path;
     Alcotest.test_case "harness store serves profiles" `Quick
       test_harness_store_serves_profiles;
     Alcotest.test_case "suite runs planned units" `Slow

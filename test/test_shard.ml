@@ -239,20 +239,21 @@ let test_sharded_grid_kill_and_resume_byte_identical () =
       with_faults (fun () ->
           Fault.arm ~site:"supervisor.job" ~at:2 ();
           Harness.clear_cache ();
-          let ck = Checkpoint.create ~resume:false dir in
+          let ck = Store.open_dir ~reset:true dir in
           let rep =
             Supervisor.run_strings
               ~policy:
-                { Supervisor.default_policy with retries = 0;
-                  on_error = `Abort }
-              ~jobs:1 ~checkpoint:ck (jobs ())
+                { Supervisor.retries = 0; on_error = `Abort }
+              ~jobs:1 ~stores:[ (ck, Fun.id) ] (jobs ())
           in
           Alcotest.(check int) "first job committed before the crash" 1
             rep.Supervisor.completed);
       (* resume after a "restart": cold cache, fault disarmed *)
       Harness.clear_cache ();
-      let ck = Checkpoint.create ~resume:true dir in
-      let rep = Supervisor.run_strings ~jobs:1 ~checkpoint:ck (jobs ()) in
+      let ck = Store.open_dir ~reset:false dir in
+      let rep =
+        Supervisor.run_strings ~jobs:1 ~stores:[ (ck, Fun.id) ] (jobs ())
+      in
       Alcotest.(check int) "everything completed" 3 rep.Supervisor.completed;
       Alcotest.(check string) "resumed sharded grid byte-identical" reference
         (concat rep);

@@ -1,6 +1,5 @@
-(* Supervisor semantics: retry, backoff-in-fuel on timeouts, the error
-   taxonomy, partial results under `Skip, cancellation under `Abort, and
-   survival of injected faults. *)
+(* Supervisor semantics: retry, the error taxonomy, partial results under
+   `Skip, cancellation under `Abort, and survival of injected faults. *)
 
 open Isa
 
@@ -18,14 +17,6 @@ let loop_program n =
       Asm.br b Ne t1 "loop";
       Asm.halt b);
   Asm.assemble b ~entry:"main"
-
-let loop_workload n =
-  { Workload.wname = "tiny";
-    wmimics = "";
-    wdescr = "synthetic supervisor-test loop";
-    wbuild = (fun _ -> loop_program n);
-    wshard = None;
-    warities = [] }
 
 let error_label = function
   | Supervisor.Trap _ -> "trap"
@@ -99,10 +90,24 @@ let test_trap_classified () =
       (fun () -> raise (Machine.Trap (Machine.Div_by_zero 7)))
       [ () ]
   in
+  (match rep.Supervisor.outcomes with
+   | [ { Supervisor.o_result = Error (Supervisor.Trap (Machine.Div_by_zero 7)); _ } ]
+     -> ()
+   | [ o ] -> Alcotest.failf "expected Trap, got %s" (result_label o)
+   | _ -> Alcotest.fail "expected one outcome");
+  (* an exhausted fuel budget is a Timeout carrying the budget: 100
+     iterations are 302 dynamic instructions *)
+  let rep =
+    Supervisor.map
+      ~policy:{ Supervisor.default_policy with retries = 0 }
+      ~jobs:1 ~name:(fun _ -> "starved")
+      (fun () -> Machine.execute ~fuel:64 (loop_program 100L))
+      [ () ]
+  in
   match rep.Supervisor.outcomes with
-  | [ { Supervisor.o_result = Error (Supervisor.Trap (Machine.Div_by_zero 7)); _ } ]
+  | [ { Supervisor.o_result = Error (Supervisor.Timeout 64); o_attempts = 1; _ } ]
     -> ()
-  | [ o ] -> Alcotest.failf "expected Trap, got %s" (result_label o)
+  | [ o ] -> Alcotest.failf "expected Timeout 64, got %s" (result_label o)
   | _ -> Alcotest.fail "expected one outcome"
 
 let test_io_classified () =
@@ -117,44 +122,6 @@ let test_io_classified () =
   | [ { Supervisor.o_result = Error (Supervisor.Io m); _ } ] ->
     Alcotest.(check string) "message" "disk on fire" m
   | [ o ] -> Alcotest.failf "expected Io, got %s" (result_label o)
-  | _ -> Alcotest.fail "expected one outcome"
-
-let test_timeout_then_fuel_backoff () =
-  (* 100 iterations = 302 dynamic instructions. A 64-instruction budget
-     times out; doubling per retry (64, 128, 256, 512) succeeds on the
-     4th attempt. *)
-  let job =
-    Driver.job ~fuel:64 (module Profile.Profiler)
-      ~finish:(fun (p : Profile.t) -> p.Profile.dynamic_instructions)
-      (loop_workload 100L) Workload.Test
-  in
-  let rep =
-    Supervisor.run_jobs
-      ~policy:{ Supervisor.default_policy with retries = 5 }
-      ~jobs:1 [ job ]
-  in
-  (match rep.Supervisor.outcomes with
-   | [ { Supervisor.o_attempts = 4; o_result = Ok dynamic; _ } ] ->
-     Alcotest.(check bool) "ran to completion" true (dynamic >= 300)
-   | [ o ] ->
-     Alcotest.failf "expected success on attempt 4, got %s after %d attempts"
-       (result_label o) o.Supervisor.o_attempts
-   | _ -> Alcotest.fail "expected one outcome");
-  (* without retries the same job is a Timeout carrying its budget *)
-  let job =
-    Driver.job ~fuel:64 (module Profile.Profiler)
-      ~finish:(fun (_ : Profile.t) -> ())
-      (loop_workload 100L) Workload.Test
-  in
-  let rep =
-    Supervisor.run_jobs
-      ~policy:{ Supervisor.default_policy with retries = 0 }
-      ~jobs:1 [ job ]
-  in
-  match rep.Supervisor.outcomes with
-  | [ { Supervisor.o_result = Error (Supervisor.Timeout 64); o_attempts = 1; _ } ]
-    -> ()
-  | [ o ] -> Alcotest.failf "expected Timeout 64, got %s" (result_label o)
   | _ -> Alcotest.fail "expected one outcome"
 
 let test_skip_keeps_partial_results () =
@@ -179,7 +146,7 @@ let test_abort_cancels_remaining () =
   let ran = Atomic.make 0 in
   let rep =
     Supervisor.map
-      ~policy:{ Supervisor.default_policy with retries = 0; on_error = `Abort }
+      ~policy:{ Supervisor.retries = 0; on_error = `Abort }
       ~jobs:1 ~name:string_of_int
       (fun x ->
         Atomic.incr ran;
@@ -197,7 +164,7 @@ let test_abort_cancels_remaining () =
 let test_abort_cancels_under_parallel_pool () =
   let rep =
     Supervisor.map
-      ~policy:{ Supervisor.default_policy with retries = 0; on_error = `Abort }
+      ~policy:{ Supervisor.retries = 0; on_error = `Abort }
       ~jobs:2 ~name:string_of_int
       (fun x -> if x = 0 then failwith "fatal" else (Unix.sleepf 0.002; x))
       (List.init 32 Fun.id)
@@ -249,9 +216,10 @@ let test_pool_worker_fault_classified () =
 
 (* ---- fused units under supervision --------------------------------
 
-   Jobs sharing a (workload, input, fuel) key run as ONE unit: one
-   classification per failure, one retry scope, one program build per
-   attempt. Counting [wbuild] calls makes the unit boundary visible. *)
+   Jobs sharing a (workload, input, fuel) key run as ONE driver unit, so
+   a supervised job that runs them is one classification and one retry
+   scope with one program build per attempt. Counting [wbuild] calls
+   makes the unit boundary visible. *)
 
 let counting_workload builds prog_of =
   { Workload.wname = "tinyw";
@@ -272,6 +240,11 @@ let fused_jobs w =
       ~finish:(fun (r : Regprof.t) -> r.Regprof.total_writes)
       w Workload.Test ]
 
+let supervised_fused ?policy w =
+  Supervisor.map ?policy ~jobs:1 ~name:(fun _ -> "fused")
+    (fun w -> Driver.run_jobs ~jobs:1 (fused_jobs w))
+    [ w ]
+
 let trap_program () =
   let b = Asm.create () in
   Asm.proc b "main" (fun b ->
@@ -284,23 +257,16 @@ let test_fused_unit_trap_classified_once () =
   let builds = Atomic.make 0 in
   let w = counting_workload builds trap_program in
   let rep =
-    Supervisor.run_jobs
-      ~policy:{ Supervisor.default_policy with retries = 0 }
-      ~jobs:1 (fused_jobs w)
+    supervised_fused ~policy:{ Supervisor.default_policy with retries = 0 } w
   in
   (* one build = the unit trapped once, not once per member *)
   Alcotest.(check int) "one classification scope" 1 (Atomic.get builds);
-  Alcotest.(check int) "failed" 3 rep.Supervisor.failed;
-  Alcotest.(check (list string)) "the unit's trap replicated to members"
-    [ "trap"; "trap"; "trap" ]
-    (List.map result_label rep.Supervisor.outcomes);
-  List.iter
-    (fun (o : _ Supervisor.outcome) ->
-      (match o.Supervisor.o_result with
-       | Error (Supervisor.Trap (Machine.Div_by_zero _)) -> ()
-       | _ -> Alcotest.failf "%s: expected the unit's Div_by_zero" o.o_name);
-      Alcotest.(check int) "one attempt each" 1 o.Supervisor.o_attempts)
-    rep.Supervisor.outcomes
+  Alcotest.(check int) "failed" 1 rep.Supervisor.failed;
+  match rep.Supervisor.outcomes with
+  | [ { Supervisor.o_result = Error (Supervisor.Trap (Machine.Div_by_zero _));
+        o_attempts = 1; _ } ] -> ()
+  | [ o ] -> Alcotest.failf "expected the unit's Div_by_zero, got %s" (result_label o)
+  | _ -> Alcotest.fail "expected one outcome"
 
 let test_fused_retry_reruns_whole_unit () =
   with_faults (fun () ->
@@ -309,72 +275,26 @@ let test_fused_retry_reruns_whole_unit () =
       (* kill the fused unit's first execution mid-run; the armed site
          fires exactly once, so the retry completes *)
       Fault.arm ~site:"machine.step" ~at:40 ();
-      let rep = Supervisor.run_jobs ~jobs:1 (fused_jobs w) in
-      Alcotest.(check int) "all members complete" 3 rep.Supervisor.completed;
+      let rep = supervised_fused w in
       Alcotest.(check int) "one build per attempt, not per member" 2
         (Atomic.get builds);
-      List.iter
-        (fun (o : _ Supervisor.outcome) ->
-          Alcotest.(check int) "members share the unit's attempts" 2
-            o.Supervisor.o_attempts;
-          Alcotest.(check bool) "member succeeded" true
-            (Result.is_ok o.Supervisor.o_result))
-        rep.Supervisor.outcomes)
+      match rep.Supervisor.outcomes with
+      | [ { Supervisor.o_attempts = 2; o_result = Ok members; _ } ] ->
+        Alcotest.(check int) "all members complete" 3 (List.length members)
+      | _ -> Alcotest.fail "expected success on the retry")
 
 let test_fused_results_equal_unfused () =
   let w = counting_workload (Atomic.make 0) (fun () -> loop_program 50L) in
-  let fused = Supervisor.run_jobs ~jobs:1 (fused_jobs w) in
-  let solo = Supervisor.run_jobs ~fuse:false ~jobs:1 (fused_jobs w) in
-  Alcotest.(check (list int)) "payloads identical" (Supervisor.oks solo)
-    (Supervisor.oks fused);
-  Alcotest.(check (list string)) "outcome names stay per-job"
-    (List.map (fun (o : _ Supervisor.outcome) -> o.Supervisor.o_name)
-       solo.Supervisor.outcomes)
-    (List.map (fun (o : _ Supervisor.outcome) -> o.Supervisor.o_name)
-       fused.Supervisor.outcomes)
+  let solo =
+    let prog = w.Workload.wbuild Workload.Test in
+    [ (Profile.Profiler.run prog).Profile.profiled_events;
+      (Memprof.Profiler.run prog).Memprof.tracked_events;
+      (Regprof.Profiler.run prog).Regprof.total_writes ]
+  in
+  Alcotest.(check (list (list int))) "payloads identical" [ solo ]
+    (Supervisor.oks (supervised_fused w))
 
 (* ---- resource governance under supervision ------------------------ *)
-
-let test_max_fuel_caps_backoff () =
-  let policy =
-    { Supervisor.default_policy with
-      fuel_timeout = Some 64; max_fuel = Some 200 }
-  in
-  let fuel k = Supervisor.Testing.attempt_fuel policy ~name:"j" ~base:None k in
-  Alcotest.(check (option int)) "attempt 0 uses the base" (Some 64) (fuel 0);
-  Alcotest.(check (option int)) "attempt 1 doubles" (Some 128) (fuel 1);
-  Alcotest.(check (option int)) "attempt 2 hits the cap" (Some 200) (fuel 2);
-  Alcotest.(check (option int)) "later attempts stay capped" (Some 200)
-    (fuel 5);
-  (* an explicit per-job base obeys the same cap *)
-  Alcotest.(check (option int)) "per-job base capped" (Some 200)
-    (Supervisor.Testing.attempt_fuel policy ~name:"j" ~base:(Some 150) 1)
-
-let test_backoff_jitter_deterministic () =
-  let policy =
-    { Supervisor.default_policy with
-      fuel_timeout = Some 1000; jitter = 0.5 }
-  in
-  let fuel ~name k = Supervisor.Testing.attempt_fuel policy ~name ~base:None k in
-  (* attempt 0 is never jittered: the first budget is exactly what the
-     caller asked for *)
-  Alcotest.(check (option int)) "attempt 0 exact" (Some 1000)
-    (fuel ~name:"a" 0);
-  (match fuel ~name:"a" 1 with
-   | Some f ->
-     Alcotest.(check bool) "jitter widens within [1, 1.5)" true
-       (f >= 2000 && f < 3000)
-   | None -> Alcotest.fail "expected a budget");
-  Alcotest.(check (option int)) "same (name, k), same draw" (fuel ~name:"a" 3)
-    (fuel ~name:"a" 3);
-  (* zero jitter (the default) keeps the legacy exact doubling *)
-  let exact =
-    Supervisor.Testing.attempt_fuel
-      { policy with Supervisor.jitter = 0. }
-      ~name:"a" ~base:None 3
-  in
-  Alcotest.(check (option int)) "jitter off is exact doubling" (Some 8000)
-    exact
 
 let governed f = Fun.protect ~finally:Budget.Testing.reset f
 
@@ -450,8 +370,6 @@ let suite =
       test_retries_exhausted_records_crash;
     Alcotest.test_case "trap classified" `Quick test_trap_classified;
     Alcotest.test_case "io classified" `Quick test_io_classified;
-    Alcotest.test_case "timeout + fuel backoff" `Quick
-      test_timeout_then_fuel_backoff;
     Alcotest.test_case "skip keeps partial results" `Quick
       test_skip_keeps_partial_results;
     Alcotest.test_case "abort cancels remaining (serial)" `Quick
@@ -470,10 +388,6 @@ let suite =
       test_fused_retry_reruns_whole_unit;
     Alcotest.test_case "fused results equal unfused" `Quick
       test_fused_results_equal_unfused;
-    Alcotest.test_case "max_fuel caps backoff" `Quick
-      test_max_fuel_caps_backoff;
-    Alcotest.test_case "backoff jitter is deterministic" `Quick
-      test_backoff_jitter_deterministic;
     Alcotest.test_case "deadline fails job, cancels rest" `Quick
       test_deadline_fails_job_and_cancels_rest;
     Alcotest.test_case "mem pressure classified and retried" `Quick
